@@ -1,5 +1,4 @@
-//! Scalar vs vectorized distance-kernel harness, written as
-//! `results/BENCH_distance.json`.
+//! Scalar vs vectorized distance-kernel harness: the one wall-clock gate.
 //!
 //! Measures the two row kernels the hot path actually runs — one `Dist`
 //! row against all `n` points (`proclus::distance_simd::euclidean_strip`
@@ -7,24 +6,34 @@
 //! cache-block column strips (`dist_rows_strip` vs `Bk` scalar sweeps) —
 //! across the grid n ∈ {64k, 512k} × d ∈ {8, 32, 128} (`--quick`: 64k ×
 //! {8, 32}). Every repetition cross-checks the vectorized outputs
-//! bitwise against the scalar kernel (the tentpole contract: lanes are
-//! independent accumulator chains, so vectorization must not move a
-//! single bit), and the JSON records the per-combo timing ratios that
-//! `cargo xtask bench-compare --kind distance` gates (row-kernel floor
-//! ≥ 2.0x at the best combo; no combo materially slower than scalar).
+//! bitwise against the scalar kernel (lanes are independent accumulator
+//! chains, so vectorization must not move a single bit). The harness then
+//! checks its floors ([`check`]) and exits 1 when one fails: every combo
+//! bitwise-equal, no ratio under 0.8, and a best ratio of at least 2.0
+//! and at least half the full grid's 5.374×.
 //!
 //! Timing ratios are wall-clock and therefore machine-*dependent* in
 //! absolute terms; what is machine-independent is their structure: the
 //! 8 independent f64 chains per lane group beat one chain per point on
-//! any hardware with more than one FP pipe.
+//! any hardware with more than one FP pipe. Run it in release.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use proclus::distance::euclidean;
 use proclus::distance_simd::{dist_rows_strip, euclidean_strip};
 use proclus_bench::Options;
-use proclus_telemetry::json::fmt_f64;
+
+/// The vectorization floor: the best combo's row-kernel ratio (single-row
+/// or batched) must reach 2.0× over scalar.
+const BEST_RATIO_FLOOR: f64 = 2.0;
+/// No combo's ratio may fall under 0.8: the strip must never be
+/// materially slower than the loop it replaced (0.8 tolerates cache-size
+/// edge combos).
+const COMBO_RATIO_FLOOR: f64 = 0.8;
+/// The best ratio of the full grid when the floors were set (n 64,000,
+/// d 8, batched). Ratios are noisy across machines, so only a best ratio
+/// under half of it counts as a collapse.
+const BASELINE_BEST_RATIO: f64 = 5.374031301466056;
 
 /// Medoid rows in the batched kernel — the paper's `Bk` replacement pool.
 const BATCH_ROWS: usize = 10;
@@ -137,6 +146,56 @@ fn measure(c: &Combo, reps: usize, seed: u64) -> Measured {
     }
 }
 
+impl Measured {
+    /// Single-row kernel: scalar time over vectorized time.
+    fn ratio(&self) -> f64 {
+        self.scalar_ms / self.simd_ms
+    }
+
+    /// Batched kernel: scalar time over vectorized time.
+    fn batch_ratio(&self) -> f64 {
+        self.batch_scalar_ms / self.batch_simd_ms
+    }
+}
+
+/// Every floor the measured combos break, one message each; empty when
+/// all hold. A NaN ratio breaks its floor.
+fn check(combos: &[Measured]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for m in combos {
+        if !m.bitwise_equal {
+            failures.push(format!(
+                "n={} d={}: vectorized output is not bitwise-equal to scalar",
+                m.n, m.d
+            ));
+        }
+        for (name, ratio) in [("ratio", m.ratio()), ("batch_ratio", m.batch_ratio())] {
+            if ratio.is_nan() || ratio < COMBO_RATIO_FLOOR {
+                failures.push(format!(
+                    "n={} d={}: {name} {ratio:.2}x below the per-combo \
+                     {COMBO_RATIO_FLOOR}x floor",
+                    m.n, m.d
+                ));
+            }
+        }
+    }
+    let best = combos
+        .iter()
+        .map(|m| m.ratio().max(m.batch_ratio()))
+        .fold(f64::NAN, f64::max);
+    if best.is_nan() || best < BEST_RATIO_FLOOR {
+        failures.push(format!(
+            "best row-kernel ratio {best:.2}x below the {BEST_RATIO_FLOOR}x vectorization floor"
+        ));
+    } else if best < BASELINE_BEST_RATIO * 0.5 {
+        failures.push(format!(
+            "best row-kernel ratio {best:.2}x collapsed below half the baseline's \
+             {BASELINE_BEST_RATIO:.2}x"
+        ));
+    }
+    failures
+}
+
 fn main() {
     let opts = Options::from_args();
     let grid = combos(opts.quick);
@@ -160,46 +219,76 @@ fn main() {
             m.d,
             m.scalar_ms,
             m.simd_ms,
-            m.scalar_ms / m.simd_ms,
+            m.ratio(),
             m.batch_scalar_ms,
             m.batch_simd_ms,
-            m.batch_scalar_ms / m.batch_simd_ms,
+            m.batch_ratio(),
             if m.bitwise_equal { "ok" } else { "DIVERGED" }
         );
         rows.push(m);
     }
 
-    let mut json = String::from("{\"version\":1,");
-    let _ = write!(
-        json,
-        "\"workload\":{{\"batch_rows\":{BATCH_ROWS},\"seed\":{},\"reps\":{},\"quick\":{}}},\
-         \"combos\":[",
-        opts.seed, opts.reps, opts.quick
-    );
-    for (i, m) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
+    let failures = check(&rows);
+    if failures.is_empty() {
+        println!("\nall distance floors hold");
+    } else {
+        for f in &failures {
+            eprintln!("distance_bench: {f}");
         }
-        let _ = write!(
-            json,
-            "{{\"n\":{},\"d\":{},\"scalar_ms\":{},\"simd_ms\":{},\"ratio\":{},\
-             \"batch_scalar_ms\":{},\"batch_simd_ms\":{},\"batch_ratio\":{},\
-             \"bitwise_equal\":{}}}",
-            m.n,
-            m.d,
-            fmt_f64(m.scalar_ms),
-            fmt_f64(m.simd_ms),
-            fmt_f64(m.scalar_ms / m.simd_ms),
-            fmt_f64(m.batch_scalar_ms),
-            fmt_f64(m.batch_simd_ms),
-            fmt_f64(m.batch_scalar_ms / m.batch_simd_ms),
-            m.bitwise_equal
-        );
+        std::process::exit(1);
     }
-    json.push_str("]}");
+}
 
-    std::fs::create_dir_all(&opts.out_dir).expect("create results dir");
-    let path = format!("{}/BENCH_distance.json", opts.out_dir);
-    std::fs::write(&path, &json).expect("write distance json");
-    println!("\nwrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two combos with the given ratios: scalar 10 ms single-row and
+    /// 100 ms batched, vectorized times derived from the ratios.
+    fn combos_with(ratio: f64, batch_ratio: f64, bitwise_equal: bool) -> Vec<Measured> {
+        [8, 32]
+            .map(|d| Measured {
+                n: 64_000,
+                d,
+                scalar_ms: 10.0,
+                simd_ms: 10.0 / ratio,
+                batch_scalar_ms: 100.0,
+                batch_simd_ms: 100.0 / batch_ratio,
+                bitwise_equal,
+            })
+            .into()
+    }
+
+    fn fails_with(combos: &[Measured], needle: &str) -> bool {
+        check(combos).iter().any(|f| f.contains(needle))
+    }
+
+    #[test]
+    fn best_ratio_floor_passes_and_fails() {
+        assert!(check(&combos_with(2.1, 2.8, true)).is_empty());
+        assert!(fails_with(
+            &combos_with(1.4, 1.8, true),
+            "vectorization floor"
+        ));
+    }
+
+    #[test]
+    fn bitwise_divergence_fails() {
+        assert!(fails_with(
+            &combos_with(2.5, 3.0, false),
+            "not bitwise-equal"
+        ));
+    }
+
+    #[test]
+    fn combo_slower_than_scalar_fails() {
+        assert!(fails_with(&combos_with(0.6, 3.0, true), "per-combo"));
+    }
+
+    #[test]
+    fn collapse_below_half_of_baseline_fails() {
+        // 2.1x clears the absolute floor but is under half the baseline's.
+        assert!(fails_with(&combos_with(2.1, 2.1, true), "collapsed"));
+        assert!(check(&combos_with(2.1, 2.7, true)).is_empty());
+    }
 }

@@ -1,142 +1,21 @@
 //! Serving-layer harness: the same burst of mixed `(k, l)` requests served
-//! with the batching scheduler on (`max_batch = 16`) and off
-//! (`max_batch = 1`), written as `results/BENCH_serve.json`.
-//!
-//! The serving layer exists to exploit §3.1 across requests: queued jobs on
-//! the same dataset that differ only in `(k, l)` coalesce into one grid run
-//! sharing the sample, greedy candidates and `Dist`/`H` caches. This
-//! harness quantifies the win as clients see it — throughput and
-//! end-to-end latency (queue wait + service) — next to the distances
-//! counter that explains it.
+//! with the batching scheduler on and off ([`proclus_bench::serve`]),
+//! printed as a table of throughput, latency, distances and batches.
 
-use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::Instant;
-
-use proclus::telemetry::counters;
-use proclus::Params;
-use proclus_bench::{workloads, Options};
-use proclus_serve::{DatasetRef, JobRequest, ServeConfig, Server};
-use proclus_telemetry::json::fmt_f64;
-
-/// One mode's aggregate over all repetitions.
-struct ModeStats {
-    mode: &'static str,
-    max_batch: usize,
-    jobs: usize,
-    wall_ms: f64,
-    throughput: f64,
-    distances: u64,
-    batches: u64,
-    latency_p50_us: u64,
-    latency_p99_us: u64,
-}
-
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn run_mode(
-    mode: &'static str,
-    max_batch: usize,
-    data: &Arc<proclus::DataMatrix>,
-    grid: &[(usize, usize)],
-    reps: usize,
-    seed: u64,
-) -> ModeStats {
-    let mut wall_ms = 0.0;
-    let mut distances = 0u64;
-    let mut batches = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for rep in 0..reps {
-        let server = Server::start(
-            ServeConfig::default()
-                .with_workers(2)
-                .with_max_batch(max_batch)
-                .with_start_paused(true),
-        )
-        .expect("server starts");
-        let dataset = DatasetRef::Inline {
-            name: format!("bench-{rep}"),
-            data: Arc::clone(data),
-        };
-        let handles: Vec<_> = grid
-            .iter()
-            .map(|&(k, l)| {
-                let params = Params::new(k, l)
-                    .with_a(20)
-                    .with_b(5)
-                    .with_seed(seed.wrapping_add(rep as u64));
-                server
-                    .submit(JobRequest::new(dataset.clone(), params))
-                    .expect("admitted")
-            })
-            .collect();
-        let t0 = Instant::now();
-        server.resume();
-        for h in &handles {
-            let out = h.wait().expect("job succeeds");
-            latencies.push(out.queue_wait_us + out.service_us);
-            distances += out
-                .telemetry
-                .expect("telemetry on")
-                .total(counters::DISTANCES_COMPUTED);
-        }
-        wall_ms += t0.elapsed().as_secs_f64() * 1e3;
-        batches += server.metrics().total(counters::BATCHES_EXECUTED);
-        server.shutdown();
-    }
-    latencies.sort_unstable();
-    let jobs = grid.len() * reps;
-    ModeStats {
-        mode,
-        max_batch,
-        jobs,
-        wall_ms,
-        throughput: jobs as f64 / (wall_ms / 1e3),
-        distances,
-        batches,
-        latency_p50_us: quantile(&latencies, 0.50),
-        latency_p99_us: quantile(&latencies, 0.99),
-    }
-}
+use proclus_bench::{serve, Options};
 
 fn main() {
     let opts = Options::from_args();
-    let n = if opts.paper_scale {
-        64_000
-    } else if opts.quick {
-        2_000
-    } else {
-        8_000
-    };
-    let cfg = workloads::default_synthetic(n, opts.seed);
-    let data = Arc::new(workloads::synthetic_data(&cfg, 0));
-    let grid: Vec<(usize, usize)> = (2..=9)
-        .flat_map(|k| [3usize, 4, 5].map(|l| (k, l)))
-        .collect();
-
+    let b = serve::run(&opts);
     println!(
-        "serving {} mixed (k, l) requests x {} reps over {} x {} points\n",
-        grid.len(),
-        opts.reps,
-        data.n(),
-        data.d()
+        "served {} mixed (k, l) requests x {} reps over {} x {} points\n",
+        b.jobs_per_rep, opts.reps, b.n, b.d
     );
-    let modes = [
-        run_mode("batched", 16, &data, &grid, opts.reps, opts.seed),
-        run_mode("unbatched", 1, &data, &grid, opts.reps, opts.seed),
-    ];
-
     println!(
         "{:<12} {:>10} {:>12} {:>14} {:>9} {:>12} {:>12}",
         "mode", "wall ms", "jobs/s", "distances", "batches", "p50 us", "p99 us"
     );
-    for m in &modes {
+    for m in [&b.batched, &b.unbatched] {
         println!(
             "{:<12} {:>10.1} {:>12.1} {:>14} {:>9} {:>12} {:>12}",
             m.mode,
@@ -148,46 +27,9 @@ fn main() {
             m.latency_p99_us
         );
     }
-    let [batched, unbatched] = &modes;
     println!(
         "\nbatching saves {:.1}% of distances; throughput x{:.2}",
-        100.0 * (1.0 - batched.distances as f64 / unbatched.distances as f64),
-        batched.throughput / unbatched.throughput,
+        100.0 * b.savings(),
+        b.batched.throughput / b.unbatched.throughput,
     );
-
-    let mut json = format!(
-        "{{\"version\":1,\"workload\":{{\"n\":{},\"d\":{},\"jobs_per_rep\":{},\"reps\":{}}},\
-         \"modes\":[",
-        data.n(),
-        data.d(),
-        grid.len(),
-        opts.reps
-    );
-    for (i, m) in modes.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"mode\":\"{}\",\"max_batch\":{},\"jobs\":{},\"wall_ms\":{},\
-             \"throughput_jobs_per_s\":{},\"distances_computed\":{},\"batches_executed\":{},\
-             \"latency_p50_us\":{},\"latency_p99_us\":{}}}",
-            m.mode,
-            m.max_batch,
-            m.jobs,
-            fmt_f64(m.wall_ms),
-            fmt_f64(m.throughput),
-            m.distances,
-            m.batches,
-            m.latency_p50_us,
-            m.latency_p99_us
-        );
-    }
-    json.push_str("]}");
-
-    std::fs::create_dir_all(&opts.out_dir).expect("create results dir");
-    let path = format!("{}/BENCH_serve.json", opts.out_dir);
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    proclus_telemetry::json::parse(&json).expect("well-formed output");
-    println!("wrote {path}");
 }

@@ -1,106 +1,13 @@
-//! Incremental re-clustering harness: appends a batch of `fraction × n`
-//! points to a converged [`StreamingClusterer`] and measures the
-//! incremental epoch's distance computations against a from-scratch run
-//! over the same final dataset, written as `results/BENCH_stream.json`.
-//!
-//! The gated quantity is exactness-preserving work avoidance: the
-//! incremental epoch must produce **bitwise-identical** medoids, subspaces
-//! and labels to the from-scratch run (`exact_match`, self-checked here)
-//! while recomputing only the distance rows the appended points dirtied.
-//! `cargo xtask bench-compare --kind stream` enforces the ratio floor at
-//! the smallest fraction (< 0.25 of the full run's distances at a ≤1%
-//! append, per the acceptance criteria).
+//! Incremental re-clustering harness ([`proclus_bench::stream`]): prints,
+//! per append fraction, the incremental epoch's distances against a
+//! from-scratch run over the same final dataset, and fails unless every
+//! incremental result equals the from-scratch one bit for bit.
 
-use std::fmt::Write as _;
-
-use gpu_sim::DeviceConfig;
-use proclus::{CancelToken, Params};
-use proclus_bench::{workloads, Options};
-use proclus_stream::{ReclusterReport, StreamBackendSpec, StreamingClusterer};
-use proclus_telemetry::json::fmt_f64;
-use proclus_telemetry::NullRecorder;
-
-struct Workload {
-    n: usize,
-    d: usize,
-    k: usize,
-    l: usize,
-    fractions: &'static [f64],
-}
-
-/// Quick mode shrinks the base dataset and the fraction grid, keeping the
-/// ≤1% point that the floor gates.
-fn workload(quick: bool) -> Workload {
-    if quick {
-        Workload {
-            n: 8_000,
-            d: 15,
-            k: 8,
-            l: 5,
-            fractions: &[0.01, 0.05],
-        }
-    } else {
-        Workload {
-            n: 32_000,
-            d: 15,
-            k: 8,
-            l: 5,
-            fractions: &[0.005, 0.01, 0.02, 0.05],
-        }
-    }
-}
-
-fn spec() -> StreamBackendSpec {
-    StreamBackendSpec::gpu(DeviceConfig::gtx_1660_ti())
-}
-
-/// Appends `rows[range]` to `c`, asserting the feed never evicts.
-fn feed(c: &mut StreamingClusterer, rows: &[Vec<f32>], range: std::ops::Range<usize>) {
-    for r in &rows[range] {
-        let (_, evicted) = c.append(r).expect("append");
-        assert!(evicted.is_empty(), "no window configured");
-    }
-}
-
-fn recluster(c: &mut StreamingClusterer) -> ReclusterReport {
-    let cancel = CancelToken::default();
-    c.recluster(&NullRecorder, &cancel).expect("recluster")
-}
-
-/// True when both clusterers hold the same converged state (medoids,
-/// subspaces, labels, costs) — the harness's exactness self-check.
-fn states_match(a: &StreamingClusterer, b: &StreamingClusterer) -> bool {
-    let (sa, sb) = match (a.state(), b.state()) {
-        (Some(x), Some(y)) => (x, y),
-        _ => return false,
-    };
-    sa.medoid_pids == sb.medoid_pids
-        && sa.subspaces == sb.subspaces
-        && sa.labels == sb.labels
-        && sa.cost == sb.cost
-        && sa.refined_cost == sb.refined_cost
-}
-
-struct Row {
-    fraction: f64,
-    batch: usize,
-    distances_full: u64,
-    distances_inc: u64,
-    segmental_inc: u64,
-    cache_hits: u64,
-    exact: bool,
-    sim_ms_full: f64,
-    sim_ms_inc: f64,
-}
+use proclus_bench::{stream, Options};
 
 fn main() {
     let opts = Options::from_args();
-    let w = workload(opts.quick);
-    let params = Params::new(w.k, w.l)
-        .with_a(20)
-        .with_b(4)
-        .with_seed(opts.seed);
-
+    let w = stream::workload(opts.quick);
     println!(
         "stream_bench: n={} d={} k={} l={}{}",
         w.n,
@@ -113,86 +20,20 @@ fn main() {
         "{:<10} {:>7} {:>14} {:>14} {:>7} {:>6}",
         "fraction", "batch", "dist_full", "dist_inc", "ratio", "exact"
     );
-
-    let max_batch = (w.fractions.iter().fold(0.0f64, |m, &f| m.max(f)) * w.n as f64) as usize;
-    let cfg = datagen::synthetic::SyntheticConfig {
-        d: w.d,
-        num_clusters: w.k,
-        ..workloads::default_synthetic(w.n + max_batch, opts.seed)
-    };
-    let data = workloads::synthetic_data(&cfg, 0);
-    let rows: Vec<Vec<f32>> = (0..data.n()).map(|p| data.row(p).to_vec()).collect();
-
-    let mut table = Vec::new();
-    for &fraction in w.fractions {
-        let batch = ((fraction * w.n as f64) as usize).max(1);
-
-        // Warm path: converge on n points, then append the batch and
-        // re-cluster incrementally.
-        let mut warm = StreamingClusterer::new(w.d, params.clone(), spec()).expect("clusterer");
-        feed(&mut warm, &rows, 0..w.n);
-        recluster(&mut warm);
-        feed(&mut warm, &rows, w.n..w.n + batch);
-        let inc = recluster(&mut warm);
-        assert_eq!(inc.mode.as_str(), "incremental", "warm epoch stayed warm");
-
-        // Reference: a from-scratch run over the same final dataset.
-        let mut cold = StreamingClusterer::new(w.d, params.clone(), spec()).expect("clusterer");
-        feed(&mut cold, &rows, 0..w.n + batch);
-        let full = recluster(&mut cold);
-
-        let exact = states_match(&warm, &cold);
-        assert!(exact, "incremental result diverged at fraction {fraction}");
-        let ratio = inc.distances as f64 / full.distances.max(1) as f64;
+    for r in stream::run(&opts) {
         println!(
-            "{fraction:<10} {batch:>7} {:>14} {:>14} {ratio:>7.3} {exact:>6}",
-            full.distances, inc.distances
-        );
-        table.push(Row {
-            fraction,
-            batch,
-            distances_full: full.distances,
-            distances_inc: inc.distances,
-            segmental_inc: inc.segmental,
-            cache_hits: inc.dist_cache_hits,
-            exact,
-            sim_ms_full: full.sim_us.unwrap_or(0.0) / 1e3,
-            sim_ms_inc: inc.sim_us.unwrap_or(0.0) / 1e3,
-        });
-    }
-
-    let mut json = String::from("{\"version\":1,");
-    let _ = write!(
-        json,
-        "\"workload\":{{\"n\":{},\"d\":{},\"k\":{},\"l\":{},\"seed\":{},\"quick\":{}}},\
-         \"fractions\":[",
-        w.n, w.d, w.k, w.l, opts.seed, opts.quick
-    );
-    for (i, r) in table.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"fraction\":{},\"batch\":{},\"distances_full\":{},\"distances_inc\":{},\
-             \"segmental_inc\":{},\"dist_cache_hits\":{},\"ratio\":{},\"exact_match\":{},\
-             \"sim_ms_full\":{},\"sim_ms_inc\":{}}}",
-            fmt_f64(r.fraction),
+            "{:<10} {:>7} {:>14} {:>14} {:>7.3} {:>6}",
+            r.fraction,
             r.batch,
             r.distances_full,
             r.distances_inc,
-            r.segmental_inc,
-            r.cache_hits,
-            fmt_f64(r.distances_inc as f64 / r.distances_full.max(1) as f64),
+            r.ratio(),
+            r.exact
+        );
+        assert!(
             r.exact,
-            fmt_f64(r.sim_ms_full),
-            fmt_f64(r.sim_ms_inc)
+            "incremental result diverged at fraction {}",
+            r.fraction
         );
     }
-    json.push_str("]}");
-
-    std::fs::create_dir_all(&opts.out_dir).expect("create results dir");
-    let path = format!("{}/BENCH_stream.json", opts.out_dir);
-    std::fs::write(&path, &json).expect("write stream json");
-    println!("\nwrote {path}");
 }

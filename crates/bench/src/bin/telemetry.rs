@@ -1,60 +1,22 @@
 //! Telemetry harness: one instrumented run per algorithm/backend
-//! combination on the default workload, written as
-//! `results/BENCH_telemetry.json` (the multi-run telemetry document) and
-//! `results/BENCH_trace.json` (a combined Chrome trace loadable in
-//! `about:tracing` / Perfetto).
-//!
-//! This is the machine-readable counterpart of the timing figures: the
-//! counters (`distances_computed`, `dist_cache_hits`, `delta_l_points`, …)
-//! show *why* FAST/FAST* are faster, not just that they are.
+//! combination on the default workload ([`proclus_bench::telemetry`]),
+//! written as `<out>/BENCH_telemetry.json` (the multi-run telemetry
+//! document) and `<out>/BENCH_trace.json` (a combined Chrome trace
+//! loadable in `about:tracing` / Perfetto). `telemetry_validate` checks
+//! both files against the schema rules.
 
-use gpu_sim::{Device, DeviceConfig};
-use proclus::telemetry::{chrome_trace_combined, counters, runs_json, TelemetryReport};
-use proclus::{Algo, Backend, Config};
-use proclus_bench::{workloads, Options};
+use proclus::telemetry::{chrome_trace_combined, counters, runs_json};
+use proclus_bench::telemetry::{run, COMBOS};
+use proclus_bench::Options;
 
 fn main() {
     let opts = Options::from_args();
-    let n = if opts.paper_scale {
-        64_000
-    } else if opts.quick {
-        2_000
-    } else {
-        8_000
-    };
-    let cfg = workloads::default_synthetic(n, opts.seed);
-    let data = workloads::synthetic_data(&cfg, 0);
-    let params = workloads::default_params().with_seed(opts.seed);
-
-    let combos = [
-        (Algo::Baseline, Backend::Cpu),
-        (Algo::Fast, Backend::Cpu),
-        (Algo::FastStar, Backend::Cpu),
-        (Algo::Baseline, Backend::Gpu),
-        (Algo::Fast, Backend::Gpu),
-        (Algo::FastStar, Backend::Gpu),
-    ];
-
-    let mut reports: Vec<TelemetryReport> = Vec::new();
+    let reports = run(&opts);
     println!(
         "{:<20} {:>16} {:>12} {:>12} {:>14}",
         "configuration", "distances", "cache hits", "cache miss", "delta-L points"
     );
-    for (algo, backend) in combos {
-        let config = Config::new(params.clone())
-            .with_algo(algo)
-            .with_backend(backend)
-            .with_telemetry(true);
-        let report = match backend {
-            Backend::Cpu => proclus::run(&data, &config),
-            Backend::Gpu | Backend::Sharded => {
-                let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
-                proclus_gpu::run_on(&mut dev, &data, &config)
-            }
-        }
-        .expect("run failed")
-        .telemetry
-        .expect("telemetry was requested");
+    for ((algo, backend), report) in COMBOS.iter().zip(&reports) {
         println!(
             "{:<20} {:>16} {:>12} {:>12} {:>14}",
             format!("{} on {}", algo.name(), backend.name()),
@@ -63,7 +25,6 @@ fn main() {
             report.total(counters::DIST_CACHE_MISSES),
             report.total(counters::DELTA_L_POINTS),
         );
-        reports.push(report);
     }
 
     std::fs::create_dir_all(&opts.out_dir).expect("create results dir");

@@ -30,16 +30,39 @@ impl Default for Options {
     }
 }
 
+const USAGE: &str = "flags: --paper-scale  run the paper's full workload sizes\n       \
+                     --quick        smallest grid, 1 rep (smoke test)\n       \
+                     --reps N       repetitions per configuration (default 3)\n       \
+                     --out DIR      CSV output directory (default results/)\n       \
+                     --seed S       base RNG seed";
+
 impl Options {
-    /// Parses flags: `--paper-scale`, `--quick`, `--reps N`, `--out DIR`,
-    /// `--seed S`. Unknown flags abort with a usage message.
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// The options `--quick` alone selects: the smallest grid, one rep.
+    pub fn quick() -> Self {
+        Self {
+            quick: true,
+            reps: 1,
+            ..Self::default()
+        }
     }
 
-    fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Parses flags: `--paper-scale`, `--quick`, `--reps N`, `--out DIR`,
+    /// `--seed S`. `--help` prints the flags and exits 0; a bad flag or
+    /// value prints the error and exits 2.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse(args.into_iter()).unwrap_or_else(|msg| {
+            eprintln!("error: {msg} (try --help)");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Self::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--paper-scale" => {
@@ -51,53 +74,37 @@ impl Options {
                     opts.reps = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--reps needs a positive integer"));
+                        .filter(|&r| r > 0)
+                        .ok_or("--reps needs a positive integer")?;
                 }
-                "--out" => {
-                    opts.out_dir = args.next().unwrap_or_else(|| die("--out needs a path"));
-                }
+                "--out" => opts.out_dir = args.next().ok_or("--out needs a path")?,
                 "--seed" => {
                     opts.seed = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--seed needs an integer"));
+                        .ok_or("--seed needs an integer")?;
                 }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --paper-scale  run the paper's full workload sizes\n       \
-                         --quick        smallest grid, 1 rep (smoke test)\n       \
-                         --reps N       repetitions per configuration (default 3)\n       \
-                         --out DIR      CSV output directory (default results/)\n       \
-                         --seed S       base RNG seed"
-                    );
-                    std::process::exit(0);
-                }
-                other => die(&format!("unknown flag `{other}` (try --help)")),
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
         if opts.quick {
             opts.reps = 1;
         }
-        opts
+        Ok(opts)
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Options {
+    fn parse(args: &[&str]) -> Result<Options, String> {
         Options::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults() {
-        let o = parse(&[]);
+        let o = parse(&[]).unwrap();
         assert!(!o.paper_scale);
         assert_eq!(o.reps, 3);
         assert_eq!(o.out_dir, "results");
@@ -105,22 +112,38 @@ mod tests {
 
     #[test]
     fn paper_scale_raises_reps_to_ten() {
-        let o = parse(&["--paper-scale"]);
+        let o = parse(&["--paper-scale"]).unwrap();
         assert!(o.paper_scale);
         assert_eq!(o.reps, 10);
     }
 
     #[test]
     fn quick_forces_single_rep() {
-        let o = parse(&["--reps", "5", "--quick"]);
+        let o = parse(&["--reps", "5", "--quick"]).unwrap();
         assert_eq!(o.reps, 1);
+        let q = Options::quick();
+        assert_eq!((o.quick, o.reps, o.seed), (q.quick, q.reps, q.seed));
     }
 
     #[test]
     fn explicit_values() {
-        let o = parse(&["--reps", "7", "--out", "/tmp/x", "--seed", "42"]);
+        let o = parse(&["--reps", "7", "--out", "/tmp/x", "--seed", "42"]).unwrap();
         assert_eq!(o.reps, 7);
         assert_eq!(o.out_dir, "/tmp/x");
         assert_eq!(o.seed, 42);
+    }
+
+    #[test]
+    fn bad_values_are_errors() {
+        for args in [
+            &["--reps", "0"][..],
+            &["--reps", "three"],
+            &["--reps"],
+            &["--seed", "-1"],
+            &["--out"],
+            &["--fast"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} parsed");
+        }
     }
 }

@@ -14,13 +14,22 @@
 //! Shared machinery lives here: [`cli`] (flag parsing), [`timing`]
 //! (repetition + measurement), [`table`] (series accumulation, printing,
 //! CSV output) and [`workloads`] (dataset construction).
+//!
+//! The workloads of the `telemetry`, `serve_bench`, `stream_bench` and
+//! `shard_bench` harnesses live in [`telemetry`], [`serve`], [`stream`]
+//! and [`shard`], so that `tests/gates.rs` runs the same code on the
+//! `--quick` workload and asserts each gate's bounds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cli;
 pub mod runners;
+pub mod serve;
+pub mod shard;
+pub mod stream;
 pub mod table;
+pub mod telemetry;
 pub mod timing;
 pub mod workloads;
 

@@ -9,11 +9,7 @@
 //!   manifests ([`deny`]); writes `results/deny.json`.
 //! * `msrv` — checks the MSRV pin: the workspace sets `rust-version`
 //!   and every member inherits it.
-//! * `bench-compare --kind <serve|telemetry|shard|stream|distance|par> <baseline> <fresh>` —
-//!   ratio/structure comparison of a fresh bench run against the
-//!   committed baseline ([`bench_compare`]).
 
-mod bench_compare;
 mod deny;
 mod lexer;
 mod lint;
@@ -71,32 +67,12 @@ fn dispatch(args: &[String]) -> Result<Vec<Finding>, String> {
             println!("msrv: {} finding(s)", findings.len());
             Ok(findings)
         }
-        "bench-compare" => {
-            let kind = flag_value(rest, "--kind").ok_or("bench-compare needs --kind")?;
-            let tolerance = flag_value(rest, "--tolerance")
-                .map(|t| t.parse::<f64>().map_err(|e| format!("--tolerance: {e}")))
-                .transpose()?
-                .unwrap_or(0.25);
-            let paths: Vec<&String> = positional(rest);
-            let [baseline, fresh] = paths.as_slice() else {
-                return Err("bench-compare needs <baseline> <fresh>".to_string());
-            };
-            let findings =
-                bench_compare::run(&kind, Path::new(baseline), Path::new(fresh), tolerance)?;
-            if let Some(out) = flag_value(rest, "--json-out") {
-                write_json(&out, &findings_json(&findings))?;
-            }
-            println!("bench-compare({kind}): {} finding(s)", findings.len());
-            Ok(findings)
-        }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     }
 }
 
 fn usage() -> String {
-    "usage: cargo xtask <lint|deny|msrv|bench-compare> [--root DIR] [--json-out PATH]\n       \
-     cargo xtask bench-compare --kind <serve|telemetry|shard|stream|distance|par> [--tolerance F] <baseline> <fresh>"
-        .to_string()
+    "usage: cargo xtask <lint|deny|msrv> [--root DIR] [--json-out PATH]".to_string()
 }
 
 /// `--flag value` lookup.
@@ -105,24 +81,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// Arguments that are neither flags nor flag values.
-fn positional(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(a);
-    }
-    out
 }
 
 fn write_json(path: &str, json: &str) -> Result<(), String> {
