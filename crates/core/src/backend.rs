@@ -21,7 +21,9 @@
 //!   [`Backend::evaluate`] the cost, [`Backend::x_from_best`] /
 //!   [`Backend::remove_outliers`] the refinement pass. State flows through
 //!   the backend between calls; the driver only sees medoid indices,
-//!   subspaces, sizes, and costs.
+//!   subspaces, sizes, and costs. The CPU backend runs the refinement's
+//!   outlier test inside the refinement's AssignPoints sweep and applies
+//!   the marks in [`Backend::remove_outliers`].
 //! * **Barriers.** The driver calls the primitives strictly in phase order;
 //!   a multi-device backend must have reduced any cross-shard state
 //!   (`H`-sums, cluster sizes, centroids) by the time a primitive returns —
@@ -54,11 +56,13 @@ use crate::fast::{compute_dist_rows, FastEngine};
 use crate::fast_star::FastStarEngine;
 use crate::par::Executor;
 use crate::params::Params;
-use crate::phases::assign::{assign_points, assign_subset, cluster_sizes};
+use crate::phases::assign::{
+    assign_points, assign_points_marking_outliers, assign_subset, cluster_sizes,
+};
 use crate::phases::evaluate::evaluate_clusters;
 use crate::phases::find_dimensions::find_dimensions;
 use crate::phases::initialization::greedy_select;
-use crate::phases::refinement::{remove_outliers, x_from_clusters};
+use crate::phases::refinement::{outlier_deltas, remove_outliers, x_from_clusters};
 use crate::rng::ProclusRng;
 
 pub use crate::driver::{run_settings, BackendHost};
@@ -141,7 +145,10 @@ pub trait Backend {
 
     /// RemoveOutliers: rewrite the current labels in place, discarding
     /// points outside every medoid's sphere of influence. The driver reads
-    /// the final labels back with [`Backend::labels`] afterwards.
+    /// the final labels back with [`Backend::labels`] afterwards. A
+    /// backend may apply marks its refinement [`Backend::assign`] recorded
+    /// for the same medoids and subspaces instead of scanning again (the
+    /// CPU backend does, DESIGN.md §12.1).
     fn remove_outliers(
         &mut self,
         medoids: &[usize],
@@ -219,6 +226,19 @@ pub struct CpuBackend<'a> {
     x: Vec<f64>,
     labels: Vec<i32>,
     best_labels: Vec<i32>,
+    /// Set by [`Backend::x_from_best`]: the next [`Backend::assign`] is
+    /// the refinement's and runs the outlier test in its sweep.
+    refining: bool,
+    /// The refinement assign's labels with the outliers marked.
+    marked: Option<Marked>,
+}
+
+/// Labels with the refinement's outliers marked, and the medoids and
+/// subspaces they were computed for.
+struct Marked {
+    medoids: Vec<usize>,
+    dims: Vec<Vec<usize>>,
+    labels: Vec<i32>,
 }
 
 impl<'a> CpuBackend<'a> {
@@ -239,6 +259,8 @@ impl<'a> CpuBackend<'a> {
             x: Vec::new(),
             labels: Vec::new(),
             best_labels: Vec::new(),
+            refining: false,
+            marked: None,
         }
     }
 }
@@ -307,7 +329,23 @@ impl Backend for CpuBackend<'_> {
         dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> Result<Vec<usize>> {
-        self.labels = assign_points(self.data, medoids, dims, &self.exec);
+        self.marked = None;
+        if std::mem::take(&mut self.refining) {
+            // The outlier spheres depend only on the medoids and subspaces,
+            // so the refinement's sweep tests them on the distances it
+            // labels from; `remove_outliers` then applies the marks.
+            let spheres = outlier_deltas(self.data, medoids, dims);
+            let (labels, marked) =
+                assign_points_marking_outliers(self.data, medoids, dims, &spheres, &self.exec);
+            self.labels = labels;
+            self.marked = Some(Marked {
+                medoids: medoids.to_vec(),
+                dims: dims.to_vec(),
+                labels: marked,
+            });
+        } else {
+            self.labels = assign_points(self.data, medoids, dims, &self.exec);
+        }
         Ok(cluster_sizes(&self.labels, medoids.len()))
     }
 
@@ -332,6 +370,7 @@ impl Backend for CpuBackend<'_> {
     fn x_from_best(&mut self, medoids: &[usize], _rec: &dyn Recorder) -> Result<()> {
         let (x, _) = x_from_clusters(self.data, medoids, &self.best_labels, &self.exec);
         self.x = x;
+        self.refining = true;
         Ok(())
     }
 
@@ -341,7 +380,10 @@ impl Backend for CpuBackend<'_> {
         dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> Result<()> {
-        self.labels = remove_outliers(self.data, &self.labels, medoids, dims, &self.exec);
+        self.labels = match self.marked.take() {
+            Some(m) if m.medoids == medoids && m.dims == dims => m.labels,
+            _ => remove_outliers(self.data, &self.labels, medoids, dims, &self.exec),
+        };
         Ok(())
     }
 
@@ -385,6 +427,9 @@ impl Backend for CpuBackend<'_> {
                 self.data.n()
             )));
         }
+        // The stream's memo-seeded assign keeps the outlier scan: only the
+        // scan has every point's distances here.
+        (self.refining, self.marked) = (false, None);
         self.labels = seed_labels.to_vec();
         assign_subset(self.data, medoids, dims, todo, &mut self.labels, &self.exec);
         Ok(cluster_sizes(&self.labels, medoids.len()))
@@ -488,6 +533,57 @@ mod tests {
                 assign_subset(&data, &medoids, &subs, &todo, &mut labels, &exec);
                 assert_eq!(labels, full, "{exec:?} len {}", todo.len());
             }
+        }
+    }
+
+    /// The marks the refinement's assign records and `remove_outliers`
+    /// applies equal the outlier scan, on every executor; any other call
+    /// sequence scans.
+    #[test]
+    fn refinement_marks_equal_the_outlier_scan() {
+        let (data, execs) = setup();
+        let medoids = [3usize, 900, 2_500, 4_100];
+        let subs = [
+            vec![0, 4, 9],
+            vec![1, 2],
+            vec![3, 7, 8, 14],
+            vec![5, 10, 11],
+        ];
+        let labels = assign_points(&data, &medoids, &subs, &Executor::Sequential);
+        let want = remove_outliers(&data, &labels, &medoids, &subs, &Executor::Sequential);
+        assert!(want.iter().any(|&l| l < 0), "some outliers");
+        for exec in execs {
+            let mut backend = CpuBackend::new(&data, exec);
+            backend.best_labels = labels.clone();
+            backend.x_from_best(&medoids, &NullRecorder).unwrap();
+            backend.assign(&medoids, &subs, &NullRecorder).unwrap();
+            assert!(
+                backend.marked.is_some(),
+                "{exec:?}: the refinement assign marks"
+            );
+            assert_eq!(backend.labels().unwrap(), labels, "{exec:?}: labels before");
+            backend
+                .remove_outliers(&medoids, &subs, &NullRecorder)
+                .unwrap();
+            assert_eq!(backend.labels().unwrap(), want, "{exec:?}: marks applied");
+            // An iteration's assign records nothing; the scan runs.
+            backend.assign(&medoids, &subs, &NullRecorder).unwrap();
+            assert!(backend.marked.is_none(), "{exec:?}");
+            backend
+                .remove_outliers(&medoids, &subs, &NullRecorder)
+                .unwrap();
+            assert_eq!(backend.labels().unwrap(), want, "{exec:?}: scanned");
+            // Marks for other subspaces are not applied.
+            backend.x_from_best(&medoids, &NullRecorder).unwrap();
+            backend.assign(&medoids, &subs, &NullRecorder).unwrap();
+            let other = [vec![0, 1], vec![1, 2], vec![3, 7, 8, 14], vec![5, 10, 11]];
+            let relabelled = assign_points(&data, &medoids, &other, &exec);
+            let scan = remove_outliers(&data, &relabelled, &medoids, &other, &exec);
+            backend.labels = relabelled;
+            backend
+                .remove_outliers(&medoids, &other, &NullRecorder)
+                .unwrap();
+            assert_eq!(backend.labels, scan, "{exec:?}: stale marks");
         }
     }
 }

@@ -17,12 +17,12 @@
 //!   are eight *points*; each lane owns one `f64` accumulator and walks
 //!   dimensions in the same ascending order as the scalar loop. No chain
 //!   is reassociated.
-//! * **`H` folds** ([`fold_abs_diff`], [`fold_shell`]): lanes are eight
+//! * **`H` folds** ([`fold_abs_diff`], [`fold_shells`]): lanes are eight
 //!   *dimensions*; each `h[j]` is its own chain, and points are folded in
-//!   the same ascending order as the scalar code. [`fold_shell`] holds one
-//!   8-dimension block of `h` in registers across all points before
-//!   moving to the next block — a loop interchange that every chain sees
-//!   as the same sequence of adds.
+//!   the same ascending order as the scalar code. [`fold_shells`] holds a
+//!   member's 8-dimension blocks (two on AVX and AVX-512, one on the
+//!   portable tier) in registers and folds one member after another — a
+//!   loop interchange that every chain sees as the same sequence of adds.
 //! * **Remainders**: the `n % 8` tail of a point strip goes through the
 //!   scalar kernel itself. The `d % 8` tail of a register fold runs as a
 //!   full 8-lane block whose extra lanes read the next row (or zeros past
@@ -53,25 +53,31 @@
 //! [`crate::par::Executor::for_each_strips`]. DESIGN.md §14 documents the
 //! layout.
 //!
-//! # The x86-64 AVX fast path
+//! # Dispatch tiers
 //!
-//! On x86-64 the strip kernels dispatch at runtime
-//! (`is_x86_feature_detected!`) to explicit AVX intrinsics in `x86`:
-//! each lane group of eight rows is transposed once into an L1-resident
-//! j-major scratch (8×8 register transposes), after which every medoid
-//! row streams over *contiguous* lanes — packed subtract in f32, widen to
-//! f64, square and accumulate with **separate** `mul`/`add` instructions.
-//! FMA is deliberately never used: contracting `acc + diff·diff` into one
-//! rounding would break bitwise identity with the scalar kernel. The
+//! On x86-64 every kernel picks one of three tiers at run time, by
+//! CPU detection alone (`is_x86_feature_detected!`): AVX-512F where the
+//! CPU has it, else AVX, else the portable code. The strip kernels call
+//! explicit intrinsics in `x86`: each lane group of eight rows is
+//! transposed once into an L1-resident j-major scratch (8×8 register
+//! transposes), after which every medoid row streams over *contiguous*
+//! lanes — packed subtract in f32, widen to f64 (two `ymm` halves on AVX,
+//! one `zmm` on AVX-512), square and accumulate with **separate**
+//! `mul`/`add` instructions, as the scalar code does. (An FMA would give
+//! the same bits here: the square of a widened f32 is exact in f64, so
+//! fusing it into the add skips no rounding. The kernels keep the pair so
+//! that they read as the scalar code, not because the bits need it.) The
 //! portable eight-accumulator forms below stay the reference (and the
-//! only path on other architectures); the dispatch is invisible to
-//! callers and to results.
+//! only path on other architectures); the tier is invisible to callers
+//! and to results.
 //!
-//! The lane-resident per-point kernels ([`LaneScratch`], [`fold_shell`])
-//! are portable Rust; their one intrinsic call is the transpose above,
-//! which only moves values. Callers run them under [`dispatch`], which
-//! compiles the same source a second time with AVX enabled and picks that
-//! copy when the CPU has it.
+//! The lane-resident per-point kernels ([`LaneScratch`], [`fold_shells`])
+//! are portable Rust. Callers run them under [`dispatch`], which compiles
+//! the same source twice more, with AVX and with AVX-512F enabled, and
+//! picks the copy of the detected tier. Rust never contracts a multiply
+//! and an add into an FMA, so every copy runs the same IEEE operations in
+//! the same order. Their intrinsic calls only move values: the transpose,
+//! and on AVX-512 the `vpcompressd` that lists a shell's members.
 
 use crate::distance::{euclidean, manhattan_segmental};
 
@@ -113,25 +119,99 @@ pub fn euclidean8(rows: [&[f32]; LANES], m: &[f32]) -> [f32; LANES] {
     acc.map(|a| a.sqrt() as f32)
 }
 
-/// Runs `body` compiled for AVX when the CPU has it, and as plain portable
-/// code otherwise: the one runtime dispatch of the lane-resident kernels
-/// ([`LaneScratch`], [`fold_shell`]). Their bodies are
-/// `#[inline(always)]` portable Rust, so they inline into the
-/// `#[target_feature(enable = "avx")]` trampoline and vectorize to
-/// 256-bit registers there; the same source is the non-x86 path. AVX has
-/// no FMA, so both copies run the same IEEE operations in the same order.
+/// The instruction sets a kernel runs on, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// The portable code as compiled for the target (SSE2 on x86-64).
+    Portable,
+    /// 256-bit AVX registers.
+    Avx,
+    /// 512-bit AVX-512F registers.
+    Avx512,
+}
+
+/// The widest tier this CPU runs. Detection is the only input, made once
+/// per process; each later call is one atomic load.
+#[inline(always)]
+pub(crate) fn tier() -> Tier {
+    #[cfg(test)]
+    if let Some(forced) = FORCED_TIER.with(std::cell::Cell::get) {
+        return forced;
+    }
+    detected_tier()
+}
+
+/// The detected tier, worked out once per process.
+#[inline(always)]
+fn detected_tier() -> Tier {
+    static DETECTED: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // Enabling `avx512f` also enables the `avx2` and `fma` it
+            // implies, so the AVX-512 tier needs all three.
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("fma")
+            {
+                return Tier::Avx512;
+            }
+            if is_x86_feature_detected!("avx") {
+                return Tier::Avx;
+            }
+        }
+        Tier::Portable
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    static FORCED_TIER: std::cell::Cell<Option<Tier>> = const { std::cell::Cell::new(None) };
+}
+
+/// Every tier this host runs, narrowest first.
+#[cfg(test)]
+pub(crate) fn host_tiers() -> Vec<Tier> {
+    [Tier::Portable, Tier::Avx, Tier::Avx512]
+        .into_iter()
+        .filter(|&t| t <= detected_tier())
+        .collect()
+}
+
+/// Runs `f` with every kernel on this thread pinned to `tier`, which must
+/// be one the host runs. Kernels that run on pool workers still detect.
+#[cfg(test)]
+pub(crate) fn with_tier<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
+    assert!(tier <= detected_tier(), "{tier:?} is not available here");
+    let before = FORCED_TIER.with(|c| c.replace(Some(tier)));
+    let out = f();
+    FORCED_TIER.with(|c| c.set(before));
+    out
+}
+
+/// Runs `body` compiled for the widest tier this CPU runs: the one runtime
+/// dispatch of the lane-resident kernels ([`LaneScratch`],
+/// [`fold_shells`]). Their bodies are `#[inline(always)]` portable Rust,
+/// so they inline into an AVX-512F or AVX `#[target_feature]` trampoline
+/// and vectorize to 512- or 256-bit registers there; the same source is
+/// the portable path. Rust never fuses a multiply and an add into an FMA,
+/// so every copy runs the same IEEE operations in the same order.
 ///
-/// Pass `body` as an `#[inline(always)]` closure: it has two call sites
-/// (the trampoline and the portable path), so without the attribute LLVM
-/// may keep it out of line, compiled without AVX.
+/// Pass `body` as an `#[inline(always)]` closure: it has three call sites
+/// (two trampolines and the portable path), so without the attribute LLVM
+/// may keep it out of line, compiled for the portable target.
 #[inline(always)]
 pub fn dispatch<R>(body: impl FnOnce() -> R) -> R {
-    #[cfg(target_arch = "x86_64")]
-    if x86::avx_available() {
-        // SAFETY: the AVX feature was just detected at runtime.
-        return unsafe { x86::with_avx(body) };
+    match tier() {
+        // SAFETY: the tier's features were detected at runtime (a forced
+        // tier is capped at the detected one).
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { x86::with_avx512(body) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx => unsafe { x86::with_avx(body) },
+        _ => body(),
     }
-    body()
 }
 
 /// Eight points transposed into one j-major lane scratch: `lanes[j·8 + l]`
@@ -156,8 +236,8 @@ impl LaneScratch {
     }
 
     /// Loads the eight consecutive rows `first..first + 8` of the
-    /// row-major matrix `flat`: the AVX register transpose where detected,
-    /// a scalar transpose otherwise.
+    /// row-major matrix `flat`: the AVX register transpose on the AVX and
+    /// AVX-512 tiers, a scalar transpose otherwise.
     #[inline(always)]
     pub fn load_rows(&mut self, flat: &[f32], first: usize) {
         let last = first.saturating_add(LANES - 1);
@@ -185,8 +265,8 @@ impl LaneScratch {
         );
         let starts: [usize; LANES] = std::array::from_fn(|l| points[l] * d);
         #[cfg(target_arch = "x86_64")]
-        if x86::avx_available() {
-            // SAFETY: AVX was just detected; every row is inside `flat`
+        if tier() >= Tier::Avx {
+            // SAFETY: AVX was detected; every row is inside `flat`
             // (asserted above), and `lanes` holds whole 8×8 blocks (set in
             // `new`).
             unsafe { x86::transpose8(flat, starts, d, &mut self.lanes) };
@@ -259,8 +339,24 @@ impl LaneScratch {
     /// labels match bit for bit.
     #[inline(always)]
     pub fn nearest_medoid(&self, medoid_rows: &[&[f32]], subspaces: &[Vec<usize>]) -> [i32; LANES] {
+        self.nearest_within(medoid_rows, subspaces, &[]).0
+    }
+
+    /// [`LaneScratch::nearest_medoid`], and per lane whether the point lies
+    /// inside some medoid's outlier sphere — segmental distance `≤
+    /// spheres[i]` — tested on the distances the labels were chosen from:
+    /// the refinement's outlier test ([`nearest_medoid_within`] per lane).
+    /// With `spheres` empty, no lane is inside.
+    #[inline(always)]
+    pub fn nearest_within(
+        &self,
+        medoid_rows: &[&[f32]],
+        subspaces: &[Vec<usize>],
+        spheres: &[f64],
+    ) -> ([i32; LANES], [bool; LANES]) {
         let mut best = [f64::INFINITY; LANES];
         let mut best_i = [0i32; LANES];
+        let mut inside = [false; LANES];
         for (i, (m, dims)) in medoid_rows.iter().zip(subspaces).enumerate() {
             let dist = self.segmental(m, dims);
             for l in 0..LANES {
@@ -269,84 +365,194 @@ impl LaneScratch {
                     best_i[l] = i as i32;
                 }
             }
+            if let Some(&r) = spheres.get(i) {
+                for l in 0..LANES {
+                    inside[l] |= dist[l] <= r;
+                }
+            }
         }
-        best_i
+        (best_i, inside)
     }
 }
 
-/// Points per block of [`fold_shell`]: a block's member rows stay in L1
-/// while each 8-dimension block of `h` folds over them.
+/// Points per block of [`fold_shells`]: a block's member rows stay in L1
+/// while every row of the sweep folds its members from it.
 const SHELL_BLOCK: usize = 256;
 
-/// One `ΔL` shell fold (Theorems 3.1/3.2) over the points
-/// `first..first + dist.len()` of the row-major matrix `flat`, whose
-/// cached distances are `dist`: `h[j] += |row_p[j] − m[j]|` (with
-/// `d = h.len()`) for every point with `lo < dist ≤ hi`, in ascending
-/// order. Returns the number of points folded. Members are collected per
-/// block without branching (the cursor advances only on a hit), then
-/// folded with `h` held in registers — bitwise-identical to one
-/// [`fold_abs_diff`] call per member.
-pub fn fold_shell(
-    h: &mut [f64],
+/// One row of a [`fold_shells`] sweep: a `Dist` row over the sweep's
+/// points, its medoid, and the shell `lo < dist ≤ hi` to fold.
+#[derive(Debug, Clone, Copy)]
+pub struct ShellRow<'a> {
+    /// Cached distances from the medoid to the sweep's points.
+    pub dist: &'a [f32],
+    /// The medoid's coordinates.
+    pub m: &'a [f32],
+    /// The shell's lower bound, excluded.
+    pub lo: f32,
+    /// The shell's upper bound, included.
+    pub hi: f32,
+}
+
+/// The `ΔL` shell folds (Theorems 3.1/3.2) of several `Dist` rows in one
+/// sweep over the points `first..first + len` of the row-major `d`-wide
+/// matrix `flat`, where `len` is each row's `dist` length: for every row
+/// `r` and every point with `lo < dist ≤ hi`, in ascending order,
+/// `dh[r·d + j] += |p_j − m_j|`; `cnt[r]` grows by the number of points
+/// folded. The sweep walks 256-point blocks; while a block is in L1, each
+/// row lists its members without branching (`vpcompressd` on AVX-512) and
+/// folds them with a member's 8-dimension blocks held together in
+/// registers. Each `dh` chain sees the same adds in the same order as one
+/// [`fold_abs_diff`] call per member. A NaN distance is in no shell.
+pub fn fold_shells(
     flat: &[f32],
-    m: &[f32],
-    dist: &[f32],
+    d: usize,
     first: usize,
-    lo: f32,
-    hi: f32,
-) -> usize {
+    rows: &[ShellRow<'_>],
+    dh: &mut [f64],
+    cnt: &mut [usize],
+) {
+    assert_eq!(dh.len(), rows.len() * d, "one `dh` row per shell");
+    assert_eq!(cnt.len(), rows.len(), "one count per shell");
+    let len = rows.first().map_or(0, |r| r.dist.len());
+    assert!(
+        rows.iter().all(|r| r.dist.len() == len && r.m.len() == d),
+        "ragged shell rows"
+    );
+    assert!((first + len) * d <= flat.len(), "sweep past the matrix");
     dispatch(
         #[inline(always)]
         || {
-            let mut members = [0usize; SHELL_BLOCK];
-            let mut folded = 0;
-            for (b, block) in dist.chunks(SHELL_BLOCK).enumerate() {
-                let start = first + b * SHELL_BLOCK;
-                let mut cnt = 0;
-                for (i, &v) in block.iter().enumerate() {
-                    members[cnt] = start + i;
-                    cnt += usize::from((v > lo) & (v <= hi));
+            let compress = tier() == Tier::Avx512;
+            let pair = tier() >= Tier::Avx;
+            let mut members = [0u32; SHELL_BLOCK];
+            for b0 in (0..len).step_by(SHELL_BLOCK) {
+                let b1 = (b0 + SHELL_BLOCK).min(len);
+                for ((row, h), c) in rows.iter().zip(dh.chunks_exact_mut(d)).zip(&mut *cnt) {
+                    let hits =
+                        shell_members(&row.dist[b0..b1], row.lo, row.hi, &mut members, compress);
+                    fold_members(h, flat, first + b0, &members[..hits], row.m, pair);
+                    *c += hits;
                 }
-                fold_rows(h, flat, &members[..cnt], m);
-                folded += cnt;
             }
-            folded
         },
-    )
+    );
 }
 
-/// Folds the rows of `members` (ascending data indices) into `h`, one
-/// 8-dimension block at a time with the block's sums held in registers
-/// across all members. Each `h[j]` chain sees the same adds in the same
-/// order as per-member [`fold_abs_diff`] calls.
+/// Lists the offsets `i` of `block` with `lo < block[i] ≤ hi`, ascending,
+/// in `out` and returns how many there are: `vpcompressd` when
+/// `compress` (the caller runs on the AVX-512 tier), otherwise a cursor
+/// that is written at every offset and advances only on a hit.
 #[inline(always)]
-fn fold_rows(h: &mut [f64], flat: &[f32], members: &[usize], m: &[f32]) {
+fn shell_members(
+    block: &[f32],
+    lo: f32,
+    hi: f32,
+    out: &mut [u32; SHELL_BLOCK],
+    compress: bool,
+) -> usize {
+    debug_assert!(block.len() <= SHELL_BLOCK);
+    #[cfg(target_arch = "x86_64")]
+    if compress {
+        // SAFETY: `compress` is set only on the AVX-512 tier, which was
+        // detected; the block fits `out`.
+        return unsafe { x86::shell_members(block, lo, hi, out) };
+    }
+    let _ = compress;
+    let mut hits = 0;
+    for (i, &v) in block.iter().enumerate() {
+        out[hits] = i as u32;
+        hits += usize::from((v > lo) & (v <= hi));
+    }
+    hits
+}
+
+/// Folds the rows `base + offset` (ascending) into `h`, with `d =
+/// h.len()`, one walk of the member list per 8-dimension block, or per
+/// `pair` of blocks, whose chains then advance side by side. A probe of
+/// four 128,000-point shells at d from 15 to 40, on one Sapphire Rapids
+/// core, found pairs 1.1–1.4× faster than single blocks on AVX-512,
+/// level on AVX, and up to 1.5× slower on the portable tier; three or
+/// four blocks per walk lost on every tier at d = 24.
+#[inline(always)]
+fn fold_members(h: &mut [f64], flat: &[f32], base: usize, offsets: &[u32], m: &[f32], pair: bool) {
     let d = h.len();
-    let m = &m[..d];
-    for j0 in (0..d).step_by(LANES) {
-        let w = LANES.min(d - j0);
-        let mut acc: [f64; LANES] = std::array::from_fn(|l| if l < w { h[j0 + l] } else { 0.0 });
-        let mj: [f32; LANES] = std::array::from_fn(|l| if l < w { m[j0 + l] } else { 0.0 });
-        // A short block reads into the next row's lanes, which are
-        // discarded; only reads that would cross the end of `flat` (the
-        // last rows) take a zero-padded copy.
-        let direct = members.partition_point(|&p| p * d + j0 + LANES <= flat.len());
-        for &p in &members[..direct] {
-            let v = &flat[p * d + j0..p * d + j0 + LANES];
+    let mut j0 = 0;
+    while j0 < d {
+        if pair && d - j0 > LANES {
+            fold_blocks::<2>(h, flat, base, offsets, m, j0);
+            j0 += 2 * LANES;
+        } else {
+            fold_blocks::<1>(h, flat, base, offsets, m, j0);
+            j0 += LANES;
+        }
+    }
+}
+
+/// Folds dimensions `j0..j0 + 8·G` (clipped to `d`) of the listed rows
+/// into `h`, the sums held in registers across all members. A short last
+/// block reads into the next row's lanes, which are discarded; only reads
+/// that would cross the end of `flat` (the last rows) take a zero-padded
+/// copy.
+#[inline(always)]
+fn fold_blocks<const G: usize>(
+    h: &mut [f64],
+    flat: &[f32],
+    base: usize,
+    offsets: &[u32],
+    m: &[f32],
+    j0: usize,
+) {
+    let d = h.len();
+    let span = G * LANES;
+    let w = span.min(d - j0);
+    let mut acc: [[f64; LANES]; G] = std::array::from_fn(|b| {
+        std::array::from_fn(|l| {
+            if b * LANES + l < w {
+                h[j0 + b * LANES + l]
+            } else {
+                0.0
+            }
+        })
+    });
+    let mj: [[f32; LANES]; G] = std::array::from_fn(|b| {
+        std::array::from_fn(|l| {
+            if b * LANES + l < w {
+                m[j0 + b * LANES + l]
+            } else {
+                0.0
+            }
+        })
+    });
+    let start = |o: u32| (base + o as usize) * d + j0;
+    let direct = offsets.partition_point(|&o| start(o) + span <= flat.len());
+    for &o in &offsets[..direct] {
+        let v = &flat[start(o)..start(o) + span];
+        for b in 0..G {
             for l in 0..LANES {
-                acc[l] += ((v[l] - mj[l]) as f64).abs();
+                acc[b][l] += ((v[b * LANES + l] - mj[b][l]) as f64).abs();
             }
         }
-        for &p in &members[direct..] {
-            let v: [f32; LANES] =
-                std::array::from_fn(|l| if l < w { flat[p * d + j0 + l] } else { 0.0 });
+    }
+    for &o in &offsets[direct..] {
+        let v: [[f32; LANES]; G] = std::array::from_fn(|b| {
+            std::array::from_fn(|l| {
+                if b * LANES + l < w {
+                    flat[start(o) + b * LANES + l]
+                } else {
+                    0.0
+                }
+            })
+        });
+        for b in 0..G {
             for l in 0..LANES {
-                acc[l] += ((v[l] - mj[l]) as f64).abs();
+                acc[b][l] += ((v[b][l] - mj[b][l]) as f64).abs();
             }
         }
+    }
+    for b in 0..G {
         for l in 0..LANES {
-            if l < w {
-                h[j0 + l] = acc[l];
+            if b * LANES + l < w {
+                h[j0 + b * LANES + l] = acc[b][l];
             }
         }
     }
@@ -382,15 +588,15 @@ fn lanes_at(points: &[f32], d: usize, i: usize) -> [&[f32]; LANES] {
 }
 
 /// Fills `out[i] = ‖pointᵢ − m‖₂` over a contiguous row-major strip of
-/// `out.len()` points: the AVX transpose kernel where available (see the
-/// module docs), otherwise [`euclidean8`] on full lane groups with the
-/// scalar kernel on the `% 8` tail. Bitwise-identical either way.
+/// `out.len()` points: the intrinsics kernel of the detected tier
+/// (see the module docs), otherwise [`euclidean8`] on full lane groups
+/// with the scalar kernel on the `% 8` tail. Bitwise-identical either way.
 pub fn euclidean_strip(points: &[f32], d: usize, m: &[f32], out: &mut [f32]) {
     assert_eq!(points.len(), out.len() * d, "strip of {} points", out.len());
     #[cfg(target_arch = "x86_64")]
-    if x86::avx_available() {
-        // Safety: the AVX feature was just detected at runtime.
-        unsafe { x86::euclidean_strip(points, d, m, out) };
+    if tier() >= Tier::Avx {
+        // SAFETY: AVX (and AVX-512F for the wide form) was detected.
+        unsafe { x86::dist_rows_strip(points, d, &[m], &mut [out], tier() == Tier::Avx512) };
         return;
     }
     euclidean_strip_portable(points, d, m, out);
@@ -447,20 +653,20 @@ pub(crate) fn euclidean_listed(
 }
 
 /// Cache-blocked batch of `Dist` rows: `outs[r][i] = ‖pointᵢ − m_rows[r]‖₂`
-/// over one contiguous point strip. On the AVX path each lane group is
-/// transposed once and reused for every medoid row; the portable path
-/// processes points in [`tile_points`]-sized tiles with the medoid loop
-/// *inside* the tile loop, so each data tile is read from memory once and
-/// reused for every row. Bitwise-identical either way.
+/// over one contiguous point strip. On the AVX and AVX-512 tiers each
+/// lane group is transposed once and reused for every medoid row; the
+/// portable path processes points in [`tile_points`]-sized tiles with the
+/// medoid loop *inside* the tile loop, so each data tile is read from
+/// memory once and reused for every row. Bitwise-identical either way.
 pub fn dist_rows_strip(points: &[f32], d: usize, m_rows: &[&[f32]], outs: &mut [&mut [f32]]) {
     debug_assert_eq!(m_rows.len(), outs.len());
     let n = outs.first().map(|o| o.len()).unwrap_or(0);
     assert!(outs.iter().all(|o| o.len() == n), "ragged Dist rows");
     assert_eq!(points.len(), n * d, "strip of {n} points");
     #[cfg(target_arch = "x86_64")]
-    if x86::avx_available() {
-        // Safety: the AVX feature was just detected at runtime.
-        unsafe { x86::dist_rows_strip(points, d, m_rows, outs) };
+    if tier() >= Tier::Avx {
+        // SAFETY: AVX (and AVX-512F for the wide form) was detected.
+        unsafe { x86::dist_rows_strip(points, d, m_rows, outs, tier() == Tier::Avx512) };
         return;
     }
     let tile = tile_points(d);
@@ -474,27 +680,22 @@ pub fn dist_rows_strip(points: &[f32], d: usize, m_rows: &[&[f32]], outs: &mut [
     }
 }
 
-/// Explicit AVX forms of the strip kernels. Runtime-dispatched — the
-/// crate still builds for plain x86-64 and every other architecture.
+/// Explicit AVX and AVX-512F forms of the strip kernels, and the
+/// trampolines of [`dispatch`]. Runtime-dispatched — the crate still
+/// builds for plain x86-64 and every other architecture.
 ///
 /// Bitwise identity with the scalar kernel is load-bearing (see the
 /// module docs): subtraction stays packed *f32* (`vsubps`), widening is
 /// `vcvtps2pd`, and the square-accumulate is a separate `vmulpd` +
-/// `vaddpd` pair — never an FMA, which would fuse the two roundings the
-/// scalar code performs. `vsqrtpd`/`vcvtpd2ps` are IEEE
+/// `vaddpd` pair, the scalar code's two operations (the square is exact,
+/// so an FMA would round the same; see the module docs). `vsqrtpd`/
+/// `vcvtpd2ps` are IEEE
 /// correctly-rounded, matching `f64::sqrt` and `as f32` lane for lane
 /// (NaNs from non-finite inputs propagate identically).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{euclidean, LANES};
+    use super::{euclidean, LANES, SHELL_BLOCK};
     use std::arch::x86_64::*;
-
-    /// One runtime check per strip call — `is_x86_feature_detected!`
-    /// caches in an atomic, so this is a relaxed load after the first.
-    #[inline]
-    pub fn avx_available() -> bool {
-        is_x86_feature_detected!("avx")
-    }
 
     /// The AVX trampoline of [`super::dispatch`]: `body` and the
     /// `#[inline(always)]` kernels it calls inline here and compile with
@@ -506,6 +707,53 @@ mod x86 {
     #[target_feature(enable = "avx")]
     pub(super) unsafe fn with_avx<R>(body: impl FnOnce() -> R) -> R {
         body()
+    }
+
+    /// The AVX-512F trampoline of [`super::dispatch`], as
+    /// [`with_avx`] with 512-bit registers.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX-512F at runtime.
+    #[target_feature(enable = "avx,avx2,avx512f")]
+    pub(super) unsafe fn with_avx512<R>(body: impl FnOnce() -> R) -> R {
+        body()
+    }
+
+    /// [`super::shell_members`] on AVX-512F: sixteen distances per
+    /// compare, the matching offsets compress-stored (`vpcompressd`) at
+    /// the cursor; the `len % 16` tail is the scalar cursor. Ordered
+    /// compares, so a NaN distance is in no shell.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX-512F; `block.len() <= out.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn shell_members(
+        block: &[f32],
+        lo: f32,
+        hi: f32,
+        out: &mut [u32; SHELL_BLOCK],
+    ) -> usize {
+        debug_assert!(block.len() <= SHELL_BLOCK);
+        let (lo_v, hi_v) = (_mm512_set1_ps(lo), _mm512_set1_ps(hi));
+        let mut offsets = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let step = _mm512_set1_epi32(16);
+        let (mut i, mut hits) = (0, 0);
+        while i + 16 <= block.len() {
+            let v = _mm512_loadu_ps(block.as_ptr().add(i));
+            let hit = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, lo_v)
+                & _mm512_cmp_ps_mask::<_CMP_LE_OQ>(v, hi_v);
+            _mm512_mask_compressstoreu_epi32(out.as_mut_ptr().add(hits).cast(), hit, offsets);
+            hits += hit.count_ones() as usize;
+            offsets = _mm512_add_epi32(offsets, step);
+            i += 16;
+        }
+        for (i, &v) in block.iter().enumerate().skip(i) {
+            out[hits] = i as u32;
+            hits += usize::from((v > lo) & (v <= hi));
+        }
+        hits
     }
 
     /// Transposes eight `d`-wide rows of `flat`, starting at the offsets
@@ -581,6 +829,7 @@ mod x86 {
     /// f32 subtract, widen, separate multiply and add in f64, IEEE sqrt.
     ///
     /// Safety: caller detected AVX; `scratch` holds `8*d` lanes.
+    #[inline]
     #[target_feature(enable = "avx")]
     unsafe fn accumulate8(scratch: &[f32], d: usize, m: &[f32]) -> [f32; LANES] {
         debug_assert!(scratch.len() >= LANES * d && m.len() >= d);
@@ -603,34 +852,87 @@ mod x86 {
         out
     }
 
+    /// [`accumulate8`] with the eight lanes widened into one `zmm`
+    /// register: the same f32 subtract, widen, separate multiply and add
+    /// (never an FMA), IEEE sqrt and narrow per lane.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX-512F; `scratch` holds `8*d` lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn accumulate8_zmm(scratch: &[f32], d: usize, m: &[f32]) -> [f32; LANES] {
+        debug_assert!(scratch.len() >= LANES * d && m.len() >= d);
+        let mut acc = _mm512_setzero_pd();
+        for j in 0..d {
+            let mj = _mm256_set1_ps(*m.get_unchecked(j));
+            let v = _mm256_loadu_ps(scratch.as_ptr().add(j * LANES));
+            let diff = _mm512_cvtps_pd(_mm256_sub_ps(v, mj));
+            acc = _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
+        }
+        let mut out = [0.0f32; LANES];
+        _mm256_storeu_ps(out.as_mut_ptr(), _mm512_cvtpd_ps(_mm512_sqrt_pd(acc)));
+        out
+    }
+
     /// Offsets of the eight consecutive rows `i..i + 8` of a `d`-wide strip.
     fn group(i: usize, d: usize) -> [usize; LANES] {
         std::array::from_fn(|l| (i + l) * d)
     }
 
-    /// AVX [`super::euclidean_strip`]. Safety: caller detected AVX.
-    pub(super) unsafe fn euclidean_strip(points: &[f32], d: usize, m: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        debug_assert_eq!(points.len(), n * d);
-        let mut scratch = vec![0.0f32; LANES * d.next_multiple_of(LANES)];
-        let mut i = 0;
-        while i + LANES <= n {
-            transpose8(points, group(i, d), d, &mut scratch);
-            let dist = accumulate8(&scratch, d, m);
-            out[i..i + LANES].copy_from_slice(&dist);
-            i += LANES;
-        }
-        while i < n {
-            out[i] = euclidean(&points[i * d..(i + 1) * d], m);
-            i += 1;
+    /// Intrinsics [`super::dist_rows_strip`] (and, with one row,
+    /// [`super::euclidean_strip`]) on the AVX or, when `wide`, the
+    /// AVX-512F tier: one copy of [`strip`] compiled per tier, so the
+    /// transpose and the accumulate inline into its loop.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX, and AVX-512F if `wide`.
+    pub(super) unsafe fn dist_rows_strip(
+        points: &[f32],
+        d: usize,
+        m_rows: &[&[f32]],
+        outs: &mut [&mut [f32]],
+        wide: bool,
+    ) {
+        if wide {
+            strip_avx512(points, d, m_rows, outs);
+        } else {
+            strip_avx(points, d, m_rows, outs);
         }
     }
 
-    /// AVX [`super::dist_rows_strip`]: the transpose is hoisted out of
-    /// the medoid loop, so each lane group's ~`32·d`-byte scratch (L1
-    /// resident) is built once and read back for every row of the batch.
-    /// Safety: caller detected AVX.
-    pub(super) unsafe fn dist_rows_strip(
+    /// [`strip`] compiled for AVX.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX.
+    #[target_feature(enable = "avx")]
+    unsafe fn strip_avx(points: &[f32], d: usize, m_rows: &[&[f32]], outs: &mut [&mut [f32]]) {
+        strip::<false>(points, d, m_rows, outs);
+    }
+
+    /// [`strip`] compiled for AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX-512F.
+    #[target_feature(enable = "avx,avx2,avx512f")]
+    unsafe fn strip_avx512(points: &[f32], d: usize, m_rows: &[&[f32]], outs: &mut [&mut [f32]]) {
+        strip::<true>(points, d, m_rows, outs);
+    }
+
+    /// The strip loop: the transpose is hoisted out of the medoid loop, so
+    /// each lane group's ~`32·d`-byte scratch (L1 resident) is built once
+    /// and read back for every row of the batch. `WIDE` picks
+    /// [`accumulate8_zmm`] over [`accumulate8`]; the `n % 8` tail is the
+    /// scalar kernel.
+    ///
+    /// # Safety
+    ///
+    /// Runs inside [`strip_avx`] or, with `WIDE`, [`strip_avx512`].
+    #[inline(always)]
+    unsafe fn strip<const WIDE: bool>(
         points: &[f32],
         d: usize,
         m_rows: &[&[f32]],
@@ -642,7 +944,11 @@ mod x86 {
         while i + LANES <= n {
             transpose8(points, group(i, d), d, &mut scratch);
             for (m, out) in m_rows.iter().zip(outs.iter_mut()) {
-                let dist = accumulate8(&scratch, d, m);
+                let dist = if WIDE {
+                    accumulate8_zmm(&scratch, d, m)
+                } else {
+                    accumulate8(&scratch, d, m)
+                };
                 out[i..i + LANES].copy_from_slice(&dist);
             }
             i += LANES;
@@ -662,16 +968,31 @@ mod x86 {
 /// and [`LaneScratch::nearest_medoid`].
 #[inline]
 pub fn nearest_medoid(row: &[f32], medoid_rows: &[&[f32]], subspaces: &[Vec<usize>]) -> i32 {
+    nearest_medoid_within(row, medoid_rows, subspaces, &[]).0
+}
+
+/// [`nearest_medoid`], and whether the point lies inside some medoid's
+/// outlier sphere (segmental distance `≤ spheres[i]`), tested on the same
+/// distances. With `spheres` empty, the point is inside none.
+#[inline]
+pub fn nearest_medoid_within(
+    row: &[f32],
+    medoid_rows: &[&[f32]],
+    subspaces: &[Vec<usize>],
+    spheres: &[f64],
+) -> (i32, bool) {
     let mut best = f64::INFINITY;
     let mut best_i = 0i32;
+    let mut inside = false;
     for (i, (m, dims)) in medoid_rows.iter().zip(subspaces).enumerate() {
         let dist = manhattan_segmental(row, m, dims);
         if dist < best {
             best = dist;
             best_i = i as i32;
         }
+        inside |= spheres.get(i).is_some_and(|&r| dist <= r);
     }
-    best_i
+    (best_i, inside)
 }
 
 /// Debug-only NaN sentinel for hot-path distance buffers. `dist < delta`
@@ -984,5 +1305,285 @@ mod tests {
             panic!("NaN at index 2");
         }
         debug_assert_finite(&[0.0, 1.0, f32::NAN], "test row");
+    }
+
+    /// Every lane kernel equals its scalar reference bit for bit under
+    /// every tier the host runs (portable, AVX, AVX-512F): each tier
+    /// compiles the kernels separately, so each is pinned on its own.
+    mod every_tier {
+        use super::*;
+        use crate::rng::{for_cases, ProclusRng};
+
+        /// Mostly ordinary coordinates with NaN, ±∞ and extreme
+        /// magnitudes mixed in.
+        fn coord(rng: &mut ProclusRng) -> f32 {
+            let r = rng.next_u64() as u32;
+            match r % 16 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => 3.4e38,
+                _ => (r >> 8) as f32 / 1_000.0 - 8_000.0,
+            }
+        }
+
+        /// A matrix of `n` rows: ordinary values, or adversarial ones.
+        fn matrix(rng: &mut ProclusRng, n: usize, d: usize, adversarial: bool) -> Vec<f32> {
+            (0..n * d)
+                .map(|_| {
+                    if adversarial {
+                        coord(rng)
+                    } else {
+                        rng.uniform(-100.0, 100.0)
+                    }
+                })
+                .collect()
+        }
+
+        /// Equal bits, or NaN on both sides (NaN payloads are out of
+        /// contract, see the module docs).
+        fn same32(a: f32, b: f32) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        fn same64(a: f64, b: f64) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        /// The dimensions a tier test draws: `d % 8` tails of every
+        /// length, and five 8-dimension blocks (two pairs and a single).
+        const DIMS: [usize; 8] = [1, 5, 8, 9, 15, 16, 23, 40];
+
+        fn each_tier(mut f: impl FnMut(Tier)) {
+            for t in host_tiers() {
+                with_tier(t, || f(t));
+            }
+        }
+
+        /// Single and batched strips against the scalar kernel, for strips
+        /// that end at the matrix's last row (whose lane group takes the
+        /// scalar transpose tail) and strips that stop short of it.
+        #[test]
+        fn euclidean_strip_and_batched_rows() {
+            each_tier(|t| {
+                for_cases(24, |rng| {
+                    let d = DIMS[rng.below(DIMS.len())];
+                    let n = rng.range(1..70);
+                    let adversarial = rng.below(2) == 1;
+                    let flat = matrix(rng, n + 3, d, adversarial);
+                    let (points, medoids) = flat.split_at(n * d);
+                    let m_rows: Vec<&[f32]> = medoids.chunks(d).collect();
+                    let len = rng.range(0..n + 1);
+                    let from = if rng.below(2) == 1 { n - len } else { 0 };
+                    let strip = &points[from * d..(from + len) * d];
+                    let mut rows = vec![vec![0.0f32; len]; m_rows.len()];
+                    let mut outs: Vec<&mut [f32]> =
+                        rows.iter_mut().map(Vec::as_mut_slice).collect();
+                    dist_rows_strip(strip, d, &m_rows, &mut outs);
+                    let mut single = vec![0.0f32; len];
+                    euclidean_strip(strip, d, m_rows[1], &mut single);
+                    for i in 0..len {
+                        let row = &strip[i * d..(i + 1) * d];
+                        for (r, m) in m_rows.iter().enumerate() {
+                            let want = euclidean(row, m);
+                            assert!(same32(rows[r][i], want), "{t:?} d {d} row {r} point {i}");
+                        }
+                        assert!(
+                            same32(single[i], euclidean(row, m_rows[1])),
+                            "{t:?} d {d} {i}"
+                        );
+                    }
+                });
+            });
+        }
+
+        /// Lane segmental, nearest-medoid, centroid terms and the outlier
+        /// test, for transposed groups (the last one holding the matrix's
+        /// last row) and gathered groups, against the scalar rules.
+        #[test]
+        fn lane_kernels_and_the_outlier_test() {
+            each_tier(|t| {
+                for_cases(24, |rng| {
+                    let d = DIMS[rng.below(DIMS.len())];
+                    let (n, k) = (rng.range(8..30), rng.range(1..6));
+                    let adversarial = rng.below(2) == 1;
+                    let flat = matrix(rng, n, d, adversarial);
+                    let row = |p: usize| &flat[p * d..(p + 1) * d];
+                    let medoids: Vec<usize> = (0..k).map(|_| rng.below(n)).collect();
+                    let m_rows: Vec<&[f32]> = medoids.iter().map(|&m| row(m)).collect();
+                    let subspaces: Vec<Vec<usize>> = (0..k)
+                        .map(|_| {
+                            let dims: Vec<usize> = (0..d).filter(|_| rng.below(3) > 0).collect();
+                            if dims.is_empty() {
+                                vec![d - 1]
+                            } else {
+                                dims
+                            }
+                        })
+                        .collect();
+                    // Spheres through medoid–point distances, so some
+                    // points sit exactly on a sphere's edge.
+                    let spheres: Vec<f64> = (0..k)
+                        .map(|i| manhattan_segmental(row(rng.below(n)), m_rows[i], &subspaces[i]))
+                        .collect();
+                    let mu: Vec<f64> = (0..d).map(|j| row(medoids[0])[j] as f64 * 0.5).collect();
+                    let first = if rng.below(2) == 1 {
+                        n - LANES
+                    } else {
+                        rng.below(n - LANES + 1)
+                    };
+                    let picks: [usize; LANES] = std::array::from_fn(|_| rng.below(n));
+                    let mut lanes = LaneScratch::new(d);
+                    for (build, points) in [
+                        ("transposed", std::array::from_fn(|l| first + l)),
+                        ("gathered", picks),
+                    ] {
+                        if build == "transposed" {
+                            lanes.load_rows(&flat, first);
+                        } else {
+                            lanes.gather_rows(&flat, &points);
+                        }
+                        let seg = dispatch(|| lanes.segmental(m_rows[0], &subspaces[0]));
+                        let terms = dispatch(|| lanes.centroid_terms(&mu, &subspaces[0]));
+                        let dist = dispatch(|| lanes.euclidean(m_rows[0]));
+                        let near = dispatch(|| lanes.nearest_medoid(&m_rows, &subspaces));
+                        let (within, inside) =
+                            dispatch(|| lanes.nearest_within(&m_rows, &subspaces, &spheres));
+                        for (l, &p) in points.iter().enumerate() {
+                            let what = format!("{t:?} {build} d {d} lane {l}");
+                            let want = manhattan_segmental(row(p), m_rows[0], &subspaces[0]);
+                            assert!(same64(seg[l], want), "{what}: segmental");
+                            let mut s = 0.0f64;
+                            for &j in &subspaces[0] {
+                                s += (row(p)[j] as f64 - mu[j]).abs();
+                            }
+                            let want = s / subspaces[0].len() as f64;
+                            assert!(same64(terms[l], want), "{what}: centroid term");
+                            assert!(same32(dist[l], euclidean(row(p), m_rows[0])), "{what}");
+                            let (label, ins) =
+                                nearest_medoid_within(row(p), &m_rows, &subspaces, &spheres);
+                            assert_eq!(near[l], label, "{what}: label");
+                            assert_eq!(within[l], label, "{what}: label with spheres");
+                            let scan = (0..k).any(|i| {
+                                manhattan_segmental(row(p), m_rows[i], &subspaces[i]) <= spheres[i]
+                            });
+                            assert_eq!((inside[l], ins), (scan, scan), "{what}: outlier test");
+                        }
+                    }
+                });
+            });
+        }
+
+        /// The member scan lists exactly the offsets with `lo < dist ≤ hi`,
+        /// ascending: NaN distances and `lo` are out, `hi` is in, for
+        /// blocks of every length up to a full block.
+        #[test]
+        fn member_scan() {
+            each_tier(|t| {
+                for_cases(48, |rng| {
+                    let len = rng.range(0..SHELL_BLOCK + 1);
+                    let (lo, hi) = (rng.uniform(-1.0, 10.0), rng.uniform(0.0, 20.0));
+                    let block: Vec<f32> = (0..len)
+                        .map(|_| match rng.below(10) {
+                            0 => f32::NAN,
+                            1 => lo,
+                            2 => hi,
+                            _ => rng.uniform(-2.0, 22.0),
+                        })
+                        .collect();
+                    let mut out = [u32::MAX; SHELL_BLOCK];
+                    let hits = dispatch(
+                        #[inline(always)]
+                        || shell_members(&block, lo, hi, &mut out, tier() == Tier::Avx512),
+                    );
+                    let want: Vec<u32> = (0..len as u32)
+                        .filter(|&i| block[i as usize] > lo && block[i as usize] <= hi)
+                        .collect();
+                    assert_eq!(&out[..hits], &want[..], "{t:?} len {len}");
+                });
+            });
+        }
+
+        /// The one-pass shell fold equals one `fold_abs_diff` per member on
+        /// top of non-zero sums, for several rows at once: members up to
+        /// the matrix's last row, NaN and edge-equal distances, empty
+        /// shells, sweeps that start mid-matrix and span several blocks.
+        #[test]
+        fn one_pass_shell_fold() {
+            each_tier(|t| {
+                for_cases(16, |rng| {
+                    let d = DIMS[rng.below(DIMS.len())];
+                    let (n, k) = (rng.range(1..700), rng.range(1..5));
+                    let adversarial = rng.below(2) == 1;
+                    let flat = matrix(rng, n + k, d, adversarial);
+                    let (points, medoids) = flat.split_at(n * d);
+                    let first = rng.below(n);
+                    let mut bounds = Vec::new();
+                    let mut dists = Vec::new();
+                    for _ in 0..k {
+                        let (lo, hi) = match rng.below(3) {
+                            0 => (-1.0, rng.uniform(0.0, 50.0)),
+                            1 => (5.0, 5.0),
+                            _ => (rng.uniform(0.0, 25.0), rng.uniform(25.0, 50.0)),
+                        };
+                        let dist: Vec<f32> = (first..n)
+                            .map(|p| match rng.below(12) {
+                                0 => f32::NAN,
+                                1 => lo,
+                                2 => hi,
+                                _ if p == n - 1 => hi,
+                                _ => rng.uniform(0.0, 50.0),
+                            })
+                            .collect();
+                        bounds.push((lo, hi));
+                        dists.push(dist);
+                    }
+                    let shells: Vec<ShellRow<'_>> = (0..k)
+                        .map(|r| ShellRow {
+                            dist: &dists[r],
+                            m: &medoids[r * d..(r + 1) * d],
+                            lo: bounds[r].0,
+                            hi: bounds[r].1,
+                        })
+                        .collect();
+                    let start: Vec<f64> = (0..k * d).map(|i| i as f64 * 0.37 - 3.0).collect();
+                    let mut got = start.clone();
+                    let mut cnt = vec![0usize; k];
+                    fold_shells(points, d, first, &shells, &mut got, &mut cnt);
+                    for r in 0..k {
+                        let mut want = start[r * d..(r + 1) * d].to_vec();
+                        let mut want_cnt = 0;
+                        for (i, &v) in dists[r].iter().enumerate() {
+                            if v > bounds[r].0 && v <= bounds[r].1 {
+                                let p = first + i;
+                                fold_abs_diff(&mut want, &points[p * d..(p + 1) * d], shells[r].m);
+                                want_cnt += 1;
+                            }
+                        }
+                        assert_eq!(cnt[r], want_cnt, "{t:?} d {d} row {r}");
+                        for j in 0..d {
+                            assert!(
+                                same64(got[r * d + j], want[j]),
+                                "{t:?} d {d} row {r} j {j}: {} vs {}",
+                                got[r * d + j],
+                                want[j]
+                            );
+                        }
+                    }
+                });
+            });
+        }
+
+        /// The forcing entry pins `tier()` on this thread only while its
+        /// closure runs.
+        #[test]
+        fn forcing_a_tier_is_scoped() {
+            let detected = tier();
+            for t in host_tiers() {
+                assert_eq!(with_tier(t, tier), t);
+            }
+            assert_eq!(tier(), detected);
+            assert_eq!(host_tiers()[0], Tier::Portable);
+        }
     }
 }

@@ -9,33 +9,24 @@
 use proclus_telemetry::{counters, Recorder};
 
 use crate::dataset::DataMatrix;
-use crate::distance_simd::debug_assert_finite;
 use crate::driver::XEngine;
-use crate::fast::{compute_dist_rows, update_h_row};
+use crate::fast::HRows;
 use crate::par::Executor;
+use crate::phases::compute_l::medoid_deltas;
 
 /// The FAST*-PROCLUS `X` engine: per-slot caches of size `k`.
 pub(crate) struct FastStarEngine {
-    n: usize,
-    d: usize,
     /// The medoid (as an index into `M`) each slot's cache belongs to.
     prev_mcur: Vec<Option<usize>>,
-    dist: Vec<f32>,       // k × n
-    h: Vec<f64>,          // k × d
-    prev_delta: Vec<f32>, // per slot
-    lsize: Vec<usize>,    // per slot
+    /// One row per slot.
+    rows: HRows,
 }
 
 impl FastStarEngine {
     pub(crate) fn new(data: &DataMatrix, k: usize) -> Self {
         Self {
-            n: data.n(),
-            d: data.d(),
             prev_mcur: vec![None; k],
-            dist: vec![0.0; k * data.n()],
-            h: vec![0.0; k * data.d()],
-            prev_delta: vec![-1.0; k],
-            lsize: vec![0; k],
+            rows: HRows::new(data.n(), data.d(), k),
         }
     }
 
@@ -43,7 +34,7 @@ impl FastStarEngine {
     /// smaller than FAST's cache, the point of the variant.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn bytes(&self) -> usize {
-        self.dist.len() * 4 + self.h.len() * 8 + self.prev_delta.len() * (4 + 8)
+        self.rows.bytes()
     }
 }
 
@@ -57,84 +48,31 @@ impl XEngine for FastStarEngine {
         rec: &dyn Recorder,
     ) -> (Vec<f64>, Vec<usize>) {
         let k = mcur.len();
-        let (n, d) = (self.n, self.d);
         let medoids: Vec<usize> = mcur.iter().map(|&mi| m_data[mi]).collect();
 
-        // Reset the slots whose medoid changed (the i ∈ MBad of §3.2):
-        // recompute the distance row and clear δ', |L|, H. A surviving slot
-        // is a cache hit; a reset slot costs n fresh distances. All reset
-        // rows are recomputed in one cache-blocked batch.
+        // Reset the slots whose medoid changed (the i ∈ MBad of §3.2): clear
+        // δ', |L|, H; the pass below refills the distance row. A surviving
+        // slot is a cache hit; a reset slot costs n fresh distances.
         let mut reset = vec![false; k];
         for i in 0..k {
             if self.prev_mcur[i] != Some(mcur[i]) {
                 self.prev_mcur[i] = Some(mcur[i]);
-                self.prev_delta[i] = -1.0;
-                self.lsize[i] = 0;
-                self.h[i * d..(i + 1) * d].fill(0.0);
+                self.rows.reset(i);
                 reset[i] = true;
                 rec.add(counters::DIST_CACHE_MISSES, 1);
-                rec.add(counters::DISTANCES_COMPUTED, n as u64);
+                rec.add(counters::DISTANCES_COMPUTED, data.n() as u64);
             } else {
                 rec.add(counters::DIST_CACHE_HITS, 1);
             }
         }
-        if reset.iter().any(|&r| r) {
-            let m_rows: Vec<&[f32]> = (0..k)
-                .filter(|&i| reset[i])
-                .map(|i| data.row(medoids[i]))
-                .collect();
-            let mut outs: Vec<&mut [f32]> = self
-                .dist
-                .chunks_mut(n)
-                .enumerate()
-                .filter(|(i, _)| reset[*i])
-                .map(|(_, row)| row)
-                .collect();
-            compute_dist_rows(data, &m_rows, &mut outs, exec);
-        }
 
-        // δ_i from the slot rows, then the ΔL update per slot.
-        let mut x = vec![0.0f64; k * d];
-        let mut lsz = vec![0usize; k];
-        for i in 0..k {
-            debug_assert_finite(&self.dist[i * n..(i + 1) * n], "FastStarEngine δ-scan");
-            let mut delta = f32::INFINITY;
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..k {
-                if i != j {
-                    let dist = self.dist[i * n + medoids[j]];
-                    if dist < delta {
-                        delta = dist;
-                    }
-                }
-            }
-            let m_row: Vec<f32> = data.row(medoids[i]).to_vec();
-            let (dist, h) = (&self.dist, &mut self.h);
-            let dist_row = &dist[i * n..(i + 1) * n];
-            let h_row = &mut h[i * d..(i + 1) * d];
-            let mut lsize = self.lsize[i];
-            let l_before = lsize;
-            update_h_row(
-                data,
-                dist_row,
-                &m_row,
-                self.prev_delta[i],
-                delta,
-                h_row,
-                &mut lsize,
-                exec,
-            );
-            self.prev_delta[i] = delta;
-            self.lsize[i] = lsize;
-            rec.add(counters::DELTA_L_POINTS, l_before.abs_diff(lsize) as u64);
-            lsz[i] = lsize;
-            if lsize > 0 {
-                for j in 0..d {
-                    x[i * d + j] = h_row[j] / lsize as f64;
-                }
-            }
-        }
-        (x, lsz)
+        // δ_i from scalar distances between the medoids (bitwise the slot
+        // rows' entries), then one pass: refill the reset rows, fold every
+        // moved shell.
+        let deltas = medoid_deltas(data, &medoids);
+        let slots: Vec<usize> = (0..k).collect();
+        self.rows
+            .advance(data, &medoids, &slots, &reset, &deltas, exec, rec)
     }
 }
 
@@ -227,7 +165,7 @@ mod tests {
         // Simulate a fully-populated FAST cache: B·k rows.
         let mut cache = DistCache::new(data.n(), data.d());
         for m in 0..k * b {
-            cache.ensure_row(&data, m * 7, &Executor::Sequential);
+            cache.ensure_rows(&[m * 7]);
         }
         let ratio = cache.bytes() as f64 / star.bytes() as f64;
         assert!(
@@ -247,10 +185,10 @@ mod tests {
         let mut engine = FastStarEngine::new(&data, 3);
         let mcur = vec![1usize, 5, 9];
         let _ = engine.x_matrix(&data, &m_data, &mcur, &exec, &rec);
-        let deltas_after_first = engine.prev_delta.clone();
+        let deltas_after_first = engine.rows.prev_delta.clone();
         assert!(deltas_after_first.iter().any(|&d| d > 0.0));
         let _ = engine.x_matrix(&data, &m_data, &mcur, &exec, &rec);
-        assert_eq!(engine.prev_delta, deltas_after_first);
+        assert_eq!(engine.rows.prev_delta, deltas_after_first);
 
         let mcur2 = vec![1usize, 7, 9]; // slot 1 replaced
         let _ = engine.x_matrix(&data, &m_data, &mcur2, &exec, &rec);

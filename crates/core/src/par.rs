@@ -61,7 +61,8 @@ const GRAIN_ALIGN: usize = 8;
 /// grain_count)`. Pure function of `len` only — **not** of the executor
 /// mode or thread count — which is what makes per-grain reductions
 /// deterministic across all executors and thread counts. Public so the
-/// `par_bench` harness can model the exact decomposition the pool runs.
+/// par gate test (`crates/bench/tests/gates.rs`) can model the exact
+/// decomposition the pool runs.
 pub fn grains_for(len: usize) -> (usize, usize) {
     if len <= SEQ_CROSSOVER {
         return (len.max(1), 1);
@@ -162,20 +163,7 @@ impl Executor {
         MF: Fn() -> S + Sync,
         BF: Fn(&mut S, Range<usize>) + Sync,
     {
-        let (grain, grains) = grains_for(len);
-        let mut out: Vec<Option<S>> = (0..grains).map(|_| None).collect();
-        let slots = SendPtr(out.as_mut_ptr());
-        self.execute(grains, &|g| {
-            let lo = g * grain;
-            let hi = (lo + grain).min(len);
-            let mut s = make();
-            body(&mut s, lo..hi);
-            // SAFETY: each grain index `g < grains` writes only its own
-            // slot, and `out` outlives `execute` (which blocks until every
-            // grain completed).
-            unsafe { *slots.get().add(g) = Some(s) };
-        });
-        out.into_iter().map(|s| s.expect("grain state")).collect()
+        self.map_strips::<(), _, _, _>(len, &mut [], make, |s, range, _| body(s, range))
     }
 
     /// Splits `out` into one contiguous sub-slice per grain and runs
@@ -215,9 +203,39 @@ impl Executor {
         let Some(len) = outs.first().map(|o| o.len()) else {
             return;
         };
-        debug_assert!(outs.iter().all(|o| o.len() == len), "ragged strips");
+        self.map_strips(
+            len,
+            outs,
+            || (),
+            |_, range, strips| body(range.start, strips),
+        );
+    }
+
+    /// [`Executor::map_chunks`] and [`Executor::for_each_strips`] in one
+    /// pass: splits `0..len` into grains, hands each grain its private
+    /// state from `make`, its range, and the grain's sub-range of every
+    /// slice in `outs` (each of length `len`; `outs` may be empty), and
+    /// returns the states **in grain order**. ComputeL uses it to fill an
+    /// iteration's fresh `Dist` rows and fold every shell while the grain
+    /// is in cache.
+    pub fn map_strips<T, S, MF, BF>(
+        &self,
+        len: usize,
+        outs: &mut [&mut [T]],
+        make: MF,
+        body: BF,
+    ) -> Vec<S>
+    where
+        T: Send,
+        S: Send,
+        MF: Fn() -> S + Sync,
+        BF: Fn(&mut S, Range<usize>, &mut [&mut [T]]) + Sync,
+    {
+        assert!(outs.iter().all(|o| o.len() == len), "ragged strips");
         let (grain, grains) = grains_for(len);
         let bases: Vec<SendPtr<T>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
+        let mut states: Vec<Option<S>> = (0..grains).map(|_| None).collect();
+        let slots = SendPtr(states.as_mut_ptr());
         self.execute(grains, &|g| {
             let lo = g * grain;
             let hi = (lo + grain).min(len);
@@ -228,8 +246,17 @@ impl Executor {
                 // `outs` outlives `execute`.
                 .map(|p| unsafe { std::slice::from_raw_parts_mut(p.get().add(lo), hi - lo) })
                 .collect();
-            body(lo, &mut strips);
+            let mut s = make();
+            body(&mut s, lo..hi, &mut strips);
+            // SAFETY: each grain index `g < grains` writes only its own
+            // slot, and `states` outlives `execute` (which blocks until
+            // every grain completed).
+            unsafe { *slots.get().add(g) = Some(s) };
         });
+        states
+            .into_iter()
+            .map(|s| s.expect("grain state"))
+            .collect()
     }
 }
 

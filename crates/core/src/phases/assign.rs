@@ -3,8 +3,9 @@
 //! subspace.
 
 use crate::dataset::DataMatrix;
-use crate::distance_simd::{dispatch, nearest_medoid, LaneScratch, LANES};
+use crate::distance_simd::{dispatch, nearest_medoid_within, LaneScratch, LANES};
 use crate::par::Executor;
+use crate::result::OUTLIER;
 
 /// Release-mode guard for the [`crate::distance::manhattan_segmental`]
 /// invariant: an empty subspace would make every segmental distance
@@ -33,13 +34,18 @@ enum Strip<'a> {
 /// of eight is loaded once into a transposed [`LaneScratch`] (the AVX
 /// register transpose, for consecutive rows and listed points alike),
 /// after which every medoid's subspace walk reads contiguous lanes; the
-/// `% 8` tail is scalar.
+/// `% 8` tail is scalar. With `refined`, the same distances also mark
+/// there, as [`OUTLIER`], every point outside all of the `spheres`, and
+/// copy the label of every other point.
+#[allow(clippy::too_many_arguments)]
 fn assign_strip(
     data: &DataMatrix,
     medoid_rows: &[&[f32]],
     subspaces: &[Vec<usize>],
+    spheres: &[f64],
     strip: Strip<'_>,
     out: &mut [i32],
+    mut refined: Option<&mut [i32]>,
 ) {
     let point = |i: usize| match strip {
         Strip::Rows(first) => first + i,
@@ -57,11 +63,22 @@ fn assign_strip(
                     Strip::Rows(first) => lanes.load_rows(flat, first + i),
                     Strip::Listed(points) => lanes.gather_rows(flat, &points[i..]),
                 }
-                out[i..i + LANES].copy_from_slice(&lanes.nearest_medoid(medoid_rows, subspaces));
+                let (labels, inside) = lanes.nearest_within(medoid_rows, subspaces, spheres);
+                out[i..i + LANES].copy_from_slice(&labels);
+                if let Some(refined) = refined.as_deref_mut() {
+                    for l in 0..LANES {
+                        refined[i + l] = if inside[l] { labels[l] } else { OUTLIER };
+                    }
+                }
                 i += LANES;
             }
             while i < len {
-                out[i] = nearest_medoid(data.row(point(i)), medoid_rows, subspaces);
+                let row = data.row(point(i));
+                let (label, inside) = nearest_medoid_within(row, medoid_rows, subspaces, spheres);
+                out[i] = label;
+                if let Some(refined) = refined.as_deref_mut() {
+                    refined[i] = if inside { label } else { OUTLIER };
+                }
                 i += 1;
             }
         },
@@ -82,9 +99,53 @@ pub fn assign_points(
     let medoid_rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
     let mut labels = vec![0i32; data.n()];
     exec.for_each_slice(&mut labels, |off, sub| {
-        assign_strip(data, &medoid_rows, subspaces, Strip::Rows(off), sub);
+        assign_strip(
+            data,
+            &medoid_rows,
+            subspaces,
+            &[],
+            Strip::Rows(off),
+            sub,
+            None,
+        );
     });
     labels
+}
+
+/// The refinement's AssignPoints with its outlier test in the same sweep:
+/// returns the [`assign_points`] labels and, beside them, the labels
+/// [`remove_outliers`](crate::phases::refinement::remove_outliers) makes
+/// of them — [`OUTLIER`] for every point outside the sphere `Δ_i` of
+/// every medoid (`spheres` from
+/// [`outlier_deltas`](crate::phases::refinement::outlier_deltas)), tested
+/// on the segmental distances the labels were chosen from.
+pub fn assign_points_marking_outliers(
+    data: &DataMatrix,
+    medoids: &[usize],
+    subspaces: &[Vec<usize>],
+    spheres: &[f64],
+    exec: &Executor,
+) -> (Vec<i32>, Vec<i32>) {
+    debug_assert_eq!(medoids.len(), subspaces.len());
+    debug_assert_eq!(medoids.len(), spheres.len());
+    assert_subspaces_non_empty(subspaces, "assign_points");
+    let medoid_rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
+    let mut labels = vec![0i32; data.n()];
+    let mut refined = vec![0i32; data.n()];
+    exec.for_each_strips(&mut [&mut labels, &mut refined], |off, strips| {
+        let (labels, refined) = strips.split_at_mut(1);
+        let (strip, refined) = (Strip::Rows(off), Some(&mut *refined[0]));
+        assign_strip(
+            data,
+            &medoid_rows,
+            subspaces,
+            spheres,
+            strip,
+            labels[0],
+            refined,
+        );
+    });
+    (labels, refined)
 }
 
 /// Assigns only the points listed in `todo` (data indices), writing their
@@ -109,7 +170,7 @@ pub fn assign_subset(
     let mut out = vec![0i32; todo.len()];
     exec.for_each_slice(&mut out, |off, sub| {
         let strip = Strip::Listed(&todo[off..off + sub.len()]);
-        assign_strip(data, &medoid_rows, subspaces, strip, sub);
+        assign_strip(data, &medoid_rows, subspaces, &[], strip, sub, None);
     });
     for (&p, &lab) in todo.iter().zip(&out) {
         labels[p] = lab;

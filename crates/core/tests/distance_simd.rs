@@ -14,7 +14,7 @@ use proclus::dataset::DataMatrix;
 use proclus::distance::{euclidean, manhattan_segmental};
 use proclus::distance_simd::{
     dispatch, dist_rows_strip, euclidean_strip, euclidean_strip_portable, fold_abs_diff,
-    fold_shell, nearest_medoid, LaneScratch, LANES,
+    fold_shells, nearest_medoid, LaneScratch, ShellRow, LANES,
 };
 use proclus::par::Executor;
 use proclus::rng::{for_cases, ProclusRng};
@@ -191,8 +191,9 @@ fn lane_nearest_medoid_matches_scalar() {
 
 /// The register-held fold equals one `fold_abs_diff` call per member, on
 /// top of a non-zero `H`: for member lists that end at the matrix's last
-/// row (whose 8-wide tail read would cross the end of the slice) and for
-/// the empty list, under adversarial coordinates.
+/// row (whose wide tail read would cross the end of the slice) and for
+/// the empty list, under adversarial coordinates, with both shells in one
+/// sweep.
 #[test]
 fn register_fold_matches_per_point_folds() {
     for_cases(64, |rng| {
@@ -207,18 +208,29 @@ fn register_fold_matches_per_point_folds() {
         let dist: Vec<f32> = (0..n)
             .map(|p| f32::from(u8::from(keep[p] || p == n - 1)))
             .collect();
-        for (lo, hi) in [(0.5, 1.5), (2.0, 3.0)] {
+        let bounds = [(0.5, 1.5), (2.0, 3.0)];
+        let shells = bounds.map(|(lo, hi)| ShellRow {
+            dist: &dist,
+            m,
+            lo,
+            hi,
+        });
+        let mut got = [start.clone(), start.clone()].concat();
+        let mut cnt = [0usize; 2];
+        fold_shells(rows, d, 0, &shells, &mut got, &mut cnt);
+        for (r, (lo, hi)) in bounds.into_iter().enumerate() {
             let mut want = start.clone();
             let mut want_cnt = 0;
             for p in (0..n).filter(|&p| dist[p] > lo && dist[p] <= hi) {
                 fold_abs_diff(&mut want, &rows[p * d..(p + 1) * d], m);
                 want_cnt += 1;
             }
-            let mut got = start.clone();
-            let cnt = fold_shell(&mut got, rows, m, &dist, 0, lo, hi);
-            assert_eq!(cnt, want_cnt);
+            assert_eq!(cnt[r], want_cnt);
             for j in 0..d {
-                assert!(same_bits(got[j], want[j]), "{cnt} members, j={j}");
+                assert!(
+                    same_bits(got[r * d + j], want[j]),
+                    "{want_cnt} members, j={j}"
+                );
             }
         }
     });
@@ -226,44 +238,62 @@ fn register_fold_matches_per_point_folds() {
 
 /// A `ΔL` shell fold over a distance-row segment folds exactly the points
 /// with `lo < dist <= hi` (a NaN distance is in no shell), in ascending
-/// order, across several collection blocks.
+/// order, across several collection blocks — for each of several rows
+/// with their own medoids and bounds swept together.
 #[test]
 fn shell_fold_matches_filtered_per_point_folds() {
     for_cases(64, |rng| {
-        let (n, d) = (rng.range(1..700), rng.range(1..20));
+        let (n, d, k) = (rng.range(1..700), rng.range(1..20), rng.range(1..4));
         let first_frac = rng.below(100);
-        let lo = rng.uniform(-1.0, 60.0);
-        let width = rng.uniform(0.0, 60.0);
         let seed = rng.next_u64();
-        let values = weyl(n * d + d, seed);
-        let (rows, m) = values.split_at(n * d);
-        let hi = lo + width;
-        // Some distances sit exactly on the shell's edges: `lo` is out,
-        // `hi` is in.
-        let dist: Vec<f32> = weyl(n, seed ^ 1)
-            .into_iter()
-            .enumerate()
-            .map(|(p, v)| match p % 97 {
-                5 => f32::NAN,
-                11 | 50 => lo,
-                23 | 71 => hi,
-                _ => (v / 512.0).abs(),
+        let values = weyl(n * d + k * d, seed);
+        let (rows, medoids) = values.split_at(n * d);
+        let first = n * first_frac / 100;
+        let mut bounds = Vec::new();
+        let mut dists = Vec::new();
+        for r in 0..k {
+            let lo = rng.uniform(-1.0, 60.0);
+            let hi = lo + rng.uniform(0.0, 60.0);
+            // Some distances sit exactly on the shell's edges: `lo` is
+            // out, `hi` is in.
+            let dist: Vec<f32> = weyl(n, seed ^ (r as u64 + 1))
+                .into_iter()
+                .enumerate()
+                .map(|(p, v)| match p % 97 {
+                    5 => f32::NAN,
+                    11 | 50 => lo,
+                    23 | 71 => hi,
+                    _ => (v / 512.0).abs(),
+                })
+                .collect();
+            bounds.push((lo, hi));
+            dists.push(dist);
+        }
+        let shells: Vec<ShellRow<'_>> = (0..k)
+            .map(|r| ShellRow {
+                dist: &dists[r][first..],
+                m: &medoids[r * d..(r + 1) * d],
+                lo: bounds[r].0,
+                hi: bounds[r].1,
             })
             .collect();
-        let first = n * first_frac / 100;
-        let mut want = vec![0.0f64; d];
-        let mut want_cnt = 0;
-        for p in first..n {
-            if dist[p] > lo && dist[p] <= hi {
-                fold_abs_diff(&mut want, &rows[p * d..(p + 1) * d], m);
-                want_cnt += 1;
+        let mut got = vec![0.0f64; k * d];
+        let mut cnt = vec![0usize; k];
+        fold_shells(rows, d, first, &shells, &mut got, &mut cnt);
+        for (r, &(lo, hi)) in bounds.iter().enumerate() {
+            let m = &medoids[r * d..(r + 1) * d];
+            let mut want = vec![0.0f64; d];
+            let mut want_cnt = 0;
+            for p in first..n {
+                if dists[r][p] > lo && dists[r][p] <= hi {
+                    fold_abs_diff(&mut want, &rows[p * d..(p + 1) * d], m);
+                    want_cnt += 1;
+                }
             }
-        }
-        let mut got = vec![0.0f64; d];
-        let cnt = fold_shell(&mut got, rows, m, &dist[first..], first, lo, hi);
-        assert_eq!(cnt, want_cnt);
-        for j in 0..d {
-            assert_eq!(got[j].to_bits(), want[j].to_bits(), "j={j}");
+            assert_eq!(cnt[r], want_cnt, "row {r}");
+            for j in 0..d {
+                assert_eq!(got[r * d + j].to_bits(), want[j].to_bits(), "row {r} j={j}");
+            }
         }
     });
 }

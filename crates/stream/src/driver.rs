@@ -9,8 +9,8 @@
 //! 1. **ComputeL** folds the epoch-local `H` sums forward from cached
 //!    per-medoid distance rows (the point-delta generalization of
 //!    Theorems 3.1/3.2: `ΔL_i` between consecutive radii is found by
-//!    scanning the cached row, and appended points are patched into the
-//!    row first). A cached row costs only its listed holes; only
+//!    scanning the cached row, all moved rows in one sweep, and appended
+//!    points are patched into the row first). A cached row costs only its listed holes; only
 //!    genuinely new medoids pay a full `n`-distance row, all of an
 //!    iteration's in one [`Backend::dist_rows`] call.
 //! 2. **AssignPoints** seeds labels from the assignment memo — labels are
@@ -33,6 +33,8 @@
 use std::collections::HashMap;
 
 use proclus::backend::Backend;
+use proclus::distance_simd::fold_shells;
+use proclus::fast::Shell;
 use proclus::params::Params;
 use proclus::phases::bad_medoids::{compute_bad_medoids, replace_bad_medoids};
 use proclus::phases::find_dimensions::find_dimensions;
@@ -70,38 +72,6 @@ struct EpochH {
     lsize: usize,
     /// Radius at the last fold (−1 sentinel: nothing accumulated yet).
     prev_delta: f32,
-}
-
-/// Advances `eh` from its previous radius to `cur` by folding the points
-/// whose cached distance falls in the delta shell — the same membership
-/// rule and `λ = ±1` signing as the FAST engines' `update_h_row`, executed
-/// in ascending position order so every run folds identically.
-fn advance_h(ds: &StreamDataset, row: &[f32], m_pos: usize, eh: &mut EpochH, cur: f32) -> u64 {
-    if cur == eh.prev_delta {
-        return 0;
-    }
-    let (lo, hi, lambda) = if cur > eh.prev_delta {
-        (eh.prev_delta, cur, 1.0f64)
-    } else {
-        (cur, eh.prev_delta, -1.0f64)
-    };
-    // A leftover NaN hole would fail both shell comparisons and silently
-    // drop its point from the sphere forever.
-    proclus::distance_simd::debug_assert_finite(row, "advance_h: cached row");
-    let mut dh = vec![0.0f64; ds.d()];
-    // One chain per dh[j] over ascending positions, folded with the sums
-    // held in registers: bitwise-equal to the per-point scalar loop.
-    let cnt = proclus::distance_simd::fold_shell(&mut dh, ds.flat(), ds.row(m_pos), row, 0, lo, hi);
-    for (acc, v) in eh.h.iter_mut().zip(&dh) {
-        *acc += lambda * v;
-    }
-    if lambda > 0.0 {
-        eh.lsize += cnt;
-    } else {
-        eh.lsize = eh.lsize.saturating_sub(cnt);
-    }
-    eh.prev_delta = cur;
-    cnt as u64
 }
 
 /// Position of a live pid, as a driver-level invariant.
@@ -198,8 +168,9 @@ fn greedy_stream<B: Backend + ?Sized>(
 /// ComputeL over the row store: completes every current medoid's distance
 /// row first — a cached row fills its listed holes, and all of the
 /// iteration's misses are built in one [`Backend::dist_rows`] call — then
-/// derives the sphere radii from the rows themselves, folds the
-/// epoch-local `H` forward, and assembles the `k × d` decision matrix `X`.
+/// derives the sphere radii from the rows themselves, folds every moved
+/// shell into the epoch-local `H` in one sweep over the positions, and
+/// assembles the `k × d` decision matrix `X`.
 #[allow(clippy::too_many_arguments)]
 fn compute_x_stream<B: Backend + ?Sized>(
     ds: &StreamDataset,
@@ -244,14 +215,18 @@ fn compute_x_stream<B: Backend + ?Sized>(
         }
     }
 
-    let mut x = vec![0.0f64; k * d];
-    for i in 0..k {
-        let pid = medoid_pids[i];
-        let m_pos = med_pos[i];
+    // δ_i: nearest other medoid, read straight off each medoid's row. Then
+    // one sweep over all positions folds every moved shell — the FAST
+    // engines' membership rule and `λ = ±1` signing, one chain per row in
+    // ascending position order, so every run folds identically.
+    let mut rows: Vec<&[f32]> = Vec::with_capacity(k);
+    let mut deltas = Vec::with_capacity(k);
+    for (i, &pid) in medoid_pids.iter().enumerate() {
         let row = store.row(pid).ok_or(ProclusError::InvalidData {
             reason: format!("distance row of medoid pid {pid} missing after its fill"),
         })?;
-        // δ_i: nearest other medoid, read straight off this medoid's row.
+        // A leftover NaN hole would fail both shell bounds and silently
+        // drop its point from the sphere forever.
         proclus::distance_simd::debug_assert_finite(row, "compute_x_stream δ-scan");
         let mut delta = f32::INFINITY;
         for (j, &p) in med_pos.iter().enumerate() {
@@ -259,19 +234,47 @@ fn compute_x_stream<B: Backend + ?Sized>(
                 delta = row[p];
             }
         }
-        let eh = epoch_h.entry(pid).or_insert_with(|| EpochH {
-            h: vec![0.0f64; d],
-            lsize: 0,
-            prev_delta: -1.0,
-        });
-        let cnt = advance_h(ds, row, m_pos, eh, delta);
-        costs.delta_l_points += cnt;
-        rec.add(counters::DELTA_L_POINTS, cnt);
+        rows.push(row);
+        deltas.push(delta);
+    }
+    let mut sums: Vec<EpochH> = medoid_pids
+        .iter()
+        .map(|pid| {
+            epoch_h.remove(pid).unwrap_or_else(|| EpochH {
+                h: vec![0.0f64; d],
+                lsize: 0,
+                prev_delta: -1.0,
+            })
+        })
+        .collect();
+    let moved: Vec<(usize, Shell)> = (0..k)
+        .filter_map(|i| Shell::between(sums[i].prev_delta, deltas[i]).map(|s| (i, s)))
+        .collect();
+    let shells: Vec<_> = moved
+        .iter()
+        .map(|&(i, shell)| shell.row(rows[i], ds.row(med_pos[i])))
+        .collect();
+    let mut dh = vec![0.0f64; moved.len() * d];
+    let mut cnt = vec![0usize; moved.len()];
+    fold_shells(ds.flat(), d, 0, &shells, &mut dh, &mut cnt);
+    let mut folded = vec![0usize; k];
+    for (j, &(i, shell)) in moved.iter().enumerate() {
+        let eh = &mut sums[i];
+        shell.apply(&mut eh.h, &mut eh.lsize, &dh[j * d..(j + 1) * d], cnt[j]);
+        folded[i] = cnt[j];
+    }
+
+    let mut x = vec![0.0f64; k * d];
+    for (i, (&pid, mut eh)) in medoid_pids.iter().zip(sums).enumerate() {
+        costs.delta_l_points += folded[i] as u64;
+        rec.add(counters::DELTA_L_POINTS, folded[i] as u64);
         if eh.lsize > 0 {
             for j in 0..d {
                 x[i * d + j] = eh.h[j] / eh.lsize as f64;
             }
         }
+        eh.prev_delta = deltas[i];
+        epoch_h.insert(pid, eh);
     }
     Ok(x)
 }

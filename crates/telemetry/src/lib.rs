@@ -63,11 +63,17 @@ pub mod counters {
     /// Full-dimensional Euclidean point↔medoid distance evaluations
     /// (greedy selection, baseline ComputeL, `Dist` row fills). This is the
     /// quantity Theorem 3.1 reduces, so it is the headline number for
-    /// FAST vs baseline comparisons.
+    /// FAST vs baseline comparisons. The FAST and FAST\* engines compute
+    /// each iteration's `k·(k−1)` medoid-pair radii `δ_i` afresh, bitwise
+    /// the cached `Dist` entries that they used to read, and do not count
+    /// them: the baseline counts those pairs, the FAST engines count only
+    /// their `Dist` row fills.
     pub const DISTANCES_COMPUTED: &str = "distances_computed";
     /// Manhattan segmental distance evaluations (AssignPoints,
     /// RemoveOutliers). Counted as launched work; short-circuit exits are
-    /// not subtracted.
+    /// not subtracted. RemoveOutliers counts its `n·k` tests even where
+    /// the CPU backend runs them inside the refinement's AssignPoints
+    /// sweep: the test still evaluates each distance against its sphere.
     pub const SEGMENTAL_DISTANCES: &str = "segmental_distances";
     /// `DistFound` hits: a current medoid whose `Dist` row was already
     /// cached (FAST) or whose slot survived unchanged (FAST*).
