@@ -21,9 +21,15 @@
 //!   [`Backend::evaluate`] the cost, [`Backend::x_from_best`] /
 //!   [`Backend::remove_outliers`] the refinement pass. State flows through
 //!   the backend between calls; the driver only sees medoid indices,
-//!   subspaces, sizes, and costs. The CPU backend runs the refinement's
-//!   outlier test inside the refinement's AssignPoints sweep and applies
-//!   the marks in [`Backend::remove_outliers`].
+//!   subspaces, sizes, and costs. The CPU backend's [`Backend::assign`]
+//!   leaves its clusters grouped (each grain's member lists and centroid
+//!   sums, built in the AssignPoints sweep); [`Backend::evaluate`] reads
+//!   the groups, [`Backend::save_best`] keeps them and
+//!   [`Backend::x_from_best`] folds the kept lists. Called out of that
+//!   order, each returns an error naming the missing call. The CPU
+//!   backend also runs the refinement's outlier test inside the
+//!   refinement's AssignPoints sweep and applies the marks in
+//!   [`Backend::remove_outliers`].
 //! * **Barriers.** The driver calls the primitives strictly in phase order;
 //!   a multi-device backend must have reduced any cross-shard state
 //!   (`H`-sums, cluster sizes, centroids) by the time a primitive returns —
@@ -56,14 +62,13 @@ use crate::fast::{compute_dist_rows, FastEngine};
 use crate::fast_star::FastStarEngine;
 use crate::par::Executor;
 use crate::params::Params;
-use crate::phases::assign::{
-    assign_points, assign_points_marking_outliers, assign_subset, cluster_sizes,
-};
-use crate::phases::evaluate::evaluate_clusters;
+use crate::phases::assign::{assign_grouped, assign_subset};
+use crate::phases::evaluate::{grouped_cost, Groups};
 use crate::phases::find_dimensions::find_dimensions;
 use crate::phases::initialization::greedy_select;
-use crate::phases::refinement::{outlier_deltas, remove_outliers, x_from_clusters};
+use crate::phases::refinement::{outlier_deltas, remove_outliers, x_from_groups};
 use crate::rng::ProclusRng;
+use std::sync::Arc;
 
 pub use crate::driver::{run_settings, BackendHost};
 
@@ -225,7 +230,11 @@ pub struct CpuBackend<'a> {
     engine: Box<dyn XEngine>,
     x: Vec<f64>,
     labels: Vec<i32>,
-    best_labels: Vec<i32>,
+    /// The clusters of `labels`, grouped by the assign that made them;
+    /// `None` before the first assign and after `remove_outliers`.
+    groups: Option<Arc<Groups>>,
+    /// The groups [`Backend::save_best`] kept.
+    best: Option<Arc<Groups>>,
     /// Set by [`Backend::x_from_best`]: the next [`Backend::assign`] is
     /// the refinement's and runs the outlier test in its sweep.
     refining: bool,
@@ -250,6 +259,14 @@ impl<'a> CpuBackend<'a> {
         Self::with_engine(data, exec, Box::new(BaselineEngine))
     }
 
+    /// Keeps an assign's groups for `evaluate` and `save_best`, and
+    /// returns the cluster sizes.
+    fn keep(&mut self, groups: Groups) -> Vec<usize> {
+        let sizes = groups.sizes().to_vec();
+        self.groups = Some(Arc::new(groups));
+        sizes
+    }
+
     /// Wraps an `X` engine.
     fn with_engine(data: &'a DataMatrix, exec: Executor, engine: Box<dyn XEngine>) -> Self {
         Self {
@@ -258,7 +275,8 @@ impl<'a> CpuBackend<'a> {
             engine,
             x: Vec::new(),
             labels: Vec::new(),
-            best_labels: Vec::new(),
+            groups: None,
+            best: None,
             refining: false,
             marked: None,
         }
@@ -329,24 +347,22 @@ impl Backend for CpuBackend<'_> {
         dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> Result<Vec<usize>> {
-        self.marked = None;
-        if std::mem::take(&mut self.refining) {
-            // The outlier spheres depend only on the medoids and subspaces,
-            // so the refinement's sweep tests them on the distances it
-            // labels from; `remove_outliers` then applies the marks.
-            let spheres = outlier_deltas(self.data, medoids, dims);
-            let (labels, marked) =
-                assign_points_marking_outliers(self.data, medoids, dims, &spheres, &self.exec);
-            self.labels = labels;
-            self.marked = Some(Marked {
-                medoids: medoids.to_vec(),
-                dims: dims.to_vec(),
-                labels: marked,
-            });
+        // The outlier spheres depend only on the medoids and subspaces, so
+        // the refinement's sweep tests them on the distances it labels
+        // from; `remove_outliers` then applies the marks.
+        let spheres = if std::mem::take(&mut self.refining) {
+            outlier_deltas(self.data, medoids, dims)
         } else {
-            self.labels = assign_points(self.data, medoids, dims, &self.exec);
-        }
-        Ok(cluster_sizes(&self.labels, medoids.len()))
+            Vec::new()
+        };
+        let assigned = assign_grouped(self.data, medoids, dims, &spheres, &self.exec);
+        self.marked = assigned.marked.map(|labels| Marked {
+            medoids: medoids.to_vec(),
+            dims: dims.to_vec(),
+            labels,
+        });
+        self.labels = assigned.labels;
+        Ok(self.keep(assigned.groups))
     }
 
     fn labels(&mut self) -> Result<Vec<i32>> {
@@ -359,16 +375,42 @@ impl Backend for CpuBackend<'_> {
         _sizes: &[usize],
         _rec: &dyn Recorder,
     ) -> Result<f64> {
-        Ok(evaluate_clusters(self.data, &self.labels, dims, &self.exec))
+        let groups = self
+            .groups
+            .as_deref()
+            .ok_or_else(|| out_of_order("evaluate", "assign"))?;
+        if dims.len() != groups.k() {
+            return Err(ProclusError::params(format!(
+                "evaluate: {} subspaces for {} assigned clusters",
+                dims.len(),
+                groups.k()
+            )));
+        }
+        Ok(grouped_cost(self.data, groups, dims, &self.exec))
     }
 
     fn save_best(&mut self) -> Result<()> {
-        self.best_labels = self.labels.clone();
+        let groups = self
+            .groups
+            .as_ref()
+            .ok_or_else(|| out_of_order("save_best", "assign"))?;
+        self.best = Some(Arc::clone(groups));
         Ok(())
     }
 
     fn x_from_best(&mut self, medoids: &[usize], _rec: &dyn Recorder) -> Result<()> {
-        let (x, _) = x_from_clusters(self.data, medoids, &self.best_labels, &self.exec);
+        let best = self
+            .best
+            .as_deref()
+            .ok_or_else(|| out_of_order("x_from_best", "save_best"))?;
+        if medoids.len() != best.k() {
+            return Err(ProclusError::params(format!(
+                "x_from_best: {} medoids for {} saved clusters",
+                medoids.len(),
+                best.k()
+            )));
+        }
+        let (x, _) = x_from_groups(self.data, medoids, best, &self.exec);
         self.x = x;
         self.refining = true;
         Ok(())
@@ -384,6 +426,8 @@ impl Backend for CpuBackend<'_> {
             Some(m) if m.medoids == medoids && m.dims == dims => m.labels,
             _ => remove_outliers(self.data, &self.labels, medoids, dims, &self.exec),
         };
+        // The groups are those of the labels before the removal.
+        self.groups = None;
         Ok(())
     }
 
@@ -432,14 +476,21 @@ impl Backend for CpuBackend<'_> {
         (self.refining, self.marked) = (false, None);
         self.labels = seed_labels.to_vec();
         assign_subset(self.data, medoids, dims, todo, &mut self.labels, &self.exec);
-        Ok(cluster_sizes(&self.labels, medoids.len()))
+        let groups = Groups::from_labels(self.data, &self.labels, medoids.len(), &self.exec);
+        Ok(self.keep(groups))
     }
+}
+
+/// The error of a primitive called before the one that feeds it.
+fn out_of_order(call: &str, needs: &str) -> ProclusError {
+    ProclusError::unsupported(format!("cpu backend: `{call}` needs a preceding `{needs}`"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distance::euclidean;
+    use crate::phases::assign::assign_points;
     use proclus_telemetry::NullRecorder;
 
     /// A matrix above the executor's single-grain crossover with a `d % 8`
@@ -536,6 +587,61 @@ mod tests {
         }
     }
 
+    /// `evaluate` (and `save_best`) before any `assign` or after
+    /// `remove_outliers`, and `x_from_best` before any `save_best`, are
+    /// typed errors naming the missing call, at one grain and above one.
+    #[test]
+    fn out_of_order_calls_are_typed_errors() {
+        let (big, _) = setup();
+        let small = DataMatrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 3.0]]).unwrap();
+        let subs = [vec![0, 1], vec![1]];
+        for data in [&small, &big] {
+            let mut backend = CpuBackend::new(data, Executor::Sequential);
+            let err = backend.evaluate(&subs, &[1, 1], &NullRecorder).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("`evaluate` needs a preceding `assign`"),
+                "{err}"
+            );
+            let err = backend.save_best().unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("`save_best` needs a preceding `assign`"),
+                "{err}"
+            );
+            let err = backend.x_from_best(&[0, 1], &NullRecorder).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("`x_from_best` needs a preceding `save_best`"),
+                "{err}"
+            );
+            // In order, each call succeeds; a mismatched k is an error too.
+            backend.assign(&[0, 1], &subs, &NullRecorder).unwrap();
+            let err = backend.x_from_best(&[0, 1], &NullRecorder).unwrap_err();
+            assert!(err.to_string().contains("`save_best`"), "{err}");
+            backend.evaluate(&subs, &[1, 1], &NullRecorder).unwrap();
+            assert!(backend.evaluate(&subs[..1], &[1], &NullRecorder).is_err());
+            backend.save_best().unwrap();
+            backend.x_from_best(&[0, 1], &NullRecorder).unwrap();
+            assert!(backend.x_from_best(&[0], &NullRecorder).is_err());
+            // Removing outliers changes the labels, so their groups go.
+            backend.assign(&[0, 1], &subs, &NullRecorder).unwrap();
+            backend
+                .remove_outliers(&[0, 1], &subs, &NullRecorder)
+                .unwrap();
+            for err in [
+                backend.evaluate(&subs, &[1, 1], &NullRecorder).unwrap_err(),
+                backend.save_best().unwrap_err(),
+            ] {
+                assert!(
+                    err.to_string().contains("needs a preceding `assign`"),
+                    "{err}"
+                );
+            }
+            backend.x_from_best(&[0, 1], &NullRecorder).unwrap();
+        }
+    }
+
     /// The marks the refinement's assign records and `remove_outliers`
     /// applies equal the outlier scan, on every executor; any other call
     /// sequence scans.
@@ -554,7 +660,8 @@ mod tests {
         assert!(want.iter().any(|&l| l < 0), "some outliers");
         for exec in execs {
             let mut backend = CpuBackend::new(&data, exec);
-            backend.best_labels = labels.clone();
+            backend.assign(&medoids, &subs, &NullRecorder).unwrap();
+            backend.save_best().unwrap();
             backend.x_from_best(&medoids, &NullRecorder).unwrap();
             backend.assign(&medoids, &subs, &NullRecorder).unwrap();
             assert!(

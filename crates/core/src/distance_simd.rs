@@ -23,6 +23,9 @@
 //!   member's 8-dimension blocks (two on AVX and AVX-512, one on the
 //!   portable tier) in registers and folds one member after another — a
 //!   loop interchange that every chain sees as the same sequence of adds.
+//!   AssignPoints' cluster folds (`fold_lists`: the centroid sums, and
+//!   the refinement's `|p − m|` sums) walk each cluster's member list the
+//!   same way.
 //! * **Remainders**: the `n % 8` tail of a point strip goes through the
 //!   scalar kernel itself. The `d % 8` tail of a register fold runs as a
 //!   full 8-lane block whose extra lanes read the next row (or zeros past
@@ -77,7 +80,8 @@
 //! picks the copy of the detected tier. Rust never contracts a multiply
 //! and an add into an FMA, so every copy runs the same IEEE operations in
 //! the same order. Their intrinsic calls only move values: the transpose,
-//! and on AVX-512 the `vpcompressd` that lists a shell's members.
+//! and on AVX-512 the `vpcompressd` that lists a shell's members or a
+//! cluster's.
 
 use crate::distance::{euclidean, manhattan_segmental};
 
@@ -430,7 +434,7 @@ pub fn fold_shells(
                 for ((row, h), c) in rows.iter().zip(dh.chunks_exact_mut(d)).zip(&mut *cnt) {
                     let hits =
                         shell_members(&row.dist[b0..b1], row.lo, row.hi, &mut members, compress);
-                    fold_members(h, flat, first + b0, &members[..hits], row.m, pair);
+                    fold_members::<true>(h, flat, first + b0, &members[..hits], row.m, pair);
                     *c += hits;
                 }
             }
@@ -468,21 +472,29 @@ fn shell_members(
 
 /// Folds the rows `base + offset` (ascending) into `h`, with `d =
 /// h.len()`, one walk of the member list per 8-dimension block, or per
-/// `pair` of blocks, whose chains then advance side by side. A probe of
+/// `pair` of blocks, whose chains then advance side by side: `h[j] +=
+/// |p_j − m_j|` with `ABS`, else `h[j] += p_j` (`m` unread). A probe of
 /// four 128,000-point shells at d from 15 to 40, on one Sapphire Rapids
 /// core, found pairs 1.1–1.4× faster than single blocks on AVX-512,
 /// level on AVX, and up to 1.5× slower on the portable tier; three or
 /// four blocks per walk lost on every tier at d = 24.
 #[inline(always)]
-fn fold_members(h: &mut [f64], flat: &[f32], base: usize, offsets: &[u32], m: &[f32], pair: bool) {
+fn fold_members<const ABS: bool>(
+    h: &mut [f64],
+    flat: &[f32],
+    base: usize,
+    offsets: &[u32],
+    m: &[f32],
+    pair: bool,
+) {
     let d = h.len();
     let mut j0 = 0;
     while j0 < d {
         if pair && d - j0 > LANES {
-            fold_blocks::<2>(h, flat, base, offsets, m, j0);
+            fold_blocks::<2, ABS>(h, flat, base, offsets, m, j0);
             j0 += 2 * LANES;
         } else {
-            fold_blocks::<1>(h, flat, base, offsets, m, j0);
+            fold_blocks::<1, ABS>(h, flat, base, offsets, m, j0);
             j0 += LANES;
         }
     }
@@ -492,9 +504,10 @@ fn fold_members(h: &mut [f64], flat: &[f32], base: usize, offsets: &[u32], m: &[
 /// into `h`, the sums held in registers across all members. A short last
 /// block reads into the next row's lanes, which are discarded; only reads
 /// that would cross the end of `flat` (the last rows) take a zero-padded
-/// copy.
+/// copy. Without `ABS` the medoid lanes are zero, and `p_j − 0.0` is
+/// `p_j` in IEEE arithmetic, so the add is the plain coordinate sum.
 #[inline(always)]
-fn fold_blocks<const G: usize>(
+fn fold_blocks<const G: usize, const ABS: bool>(
     h: &mut [f64],
     flat: &[f32],
     base: usize,
@@ -516,20 +529,28 @@ fn fold_blocks<const G: usize>(
     });
     let mj: [[f32; LANES]; G] = std::array::from_fn(|b| {
         std::array::from_fn(|l| {
-            if b * LANES + l < w {
+            if ABS && b * LANES + l < w {
                 m[j0 + b * LANES + l]
             } else {
                 0.0
             }
         })
     });
+    let term = |v: f32, mj: f32| {
+        let t = (v - mj) as f64;
+        if ABS {
+            t.abs()
+        } else {
+            t
+        }
+    };
     let start = |o: u32| (base + o as usize) * d + j0;
     let direct = offsets.partition_point(|&o| start(o) + span <= flat.len());
     for &o in &offsets[..direct] {
         let v = &flat[start(o)..start(o) + span];
         for b in 0..G {
             for l in 0..LANES {
-                acc[b][l] += ((v[b * LANES + l] - mj[b][l]) as f64).abs();
+                acc[b][l] += term(v[b * LANES + l], mj[b][l]);
             }
         }
     }
@@ -545,7 +566,7 @@ fn fold_blocks<const G: usize>(
         });
         for b in 0..G {
             for l in 0..LANES {
-                acc[b][l] += ((v[b][l] - mj[b][l]) as f64).abs();
+                acc[b][l] += term(v[b][l], mj[b][l]);
             }
         }
     }
@@ -556,6 +577,81 @@ fn fold_blocks<const G: usize>(
             }
         }
     }
+}
+
+/// Lists the points of one grain cluster by cluster: with `k =
+/// at.len() − 1`, `members[at[c]..at[c + 1]]` are the offsets `i` with
+/// `labels[i] == c`, ascending, for every `c < k`; other labels (the
+/// outliers' negative ones) are in no list. Returns `at[k]`. On the
+/// AVX-512 tier each cluster's list is compress-stored (`vpcompressd`)
+/// sixteen labels per compare; the other tiers run a counting sort.
+pub(crate) fn list_clusters(labels: &[i32], at: &mut [u32], members: &mut [u32]) -> usize {
+    assert!(!at.is_empty(), "one list start per cluster, plus the end");
+    assert!(members.len() >= labels.len(), "room for every point");
+    assert!(u32::try_from(labels.len()).is_ok(), "grain offsets fit u32");
+    #[cfg(target_arch = "x86_64")]
+    if tier() == Tier::Avx512 {
+        // SAFETY: AVX-512F was detected (a forced tier is capped at the
+        // detected one); `members` has room for every point.
+        return unsafe { x86::list_clusters(labels, at, members) };
+    }
+    let k = at.len() - 1;
+    let listed = |c: i32| usize::try_from(c).ok().filter(|&c| c < k);
+    at.fill(0);
+    for &c in labels {
+        if let Some(c) = listed(c) {
+            at[c + 1] += 1;
+        }
+    }
+    for c in 0..k {
+        at[c + 1] += at[c];
+    }
+    let mut next = at[..k].to_vec();
+    for (i, &c) in labels.iter().enumerate() {
+        if let Some(c) = listed(c) {
+            members[next[c] as usize] = i as u32;
+            next[c] += 1;
+        }
+    }
+    at[k] as usize
+}
+
+/// Folds each cluster's listed rows of one grain, in list order, into its
+/// row of `h` (`k × d`, with `k = at.len() − 1` and the lists as
+/// [`list_clusters`] leaves them, offsets from point `first` of the
+/// row-major `d`-wide matrix `flat`): the coordinate sums when `medoids`
+/// is `None`, else `|p_j − m_{c,j}|` against cluster `c`'s medoid row.
+/// Each `h` entry is one chain over the cluster's members in ascending
+/// point order, a member's 8-dimension blocks held in registers as in
+/// [`fold_shells`].
+pub(crate) fn fold_lists(
+    h: &mut [f64],
+    flat: &[f32],
+    d: usize,
+    first: usize,
+    at: &[u32],
+    members: &[u32],
+    medoids: Option<&[&[f32]]>,
+) {
+    let k = at
+        .len()
+        .checked_sub(1)
+        .expect("one list start per cluster, plus the end");
+    assert_eq!(h.len(), k * d, "one `h` row per cluster");
+    assert!(medoids.is_none_or(|m| m.len() == k && m.iter().all(|m| m.len() == d)));
+    dispatch(
+        #[inline(always)]
+        || {
+            let pair = tier() >= Tier::Avx;
+            for (c, h) in h.chunks_exact_mut(d).enumerate() {
+                let listed = &members[at[c] as usize..at[c + 1] as usize];
+                match medoids {
+                    Some(m) => fold_members::<true>(h, flat, first, listed, m[c], pair),
+                    None => fold_members::<false>(h, flat, first, listed, &[], pair),
+                }
+            }
+        },
+    );
 }
 
 /// Folds one point into per-dimension Manhattan sums:
@@ -753,6 +849,52 @@ mod x86 {
             out[hits] = i as u32;
             hits += usize::from((v > lo) & (v <= hi));
         }
+        hits
+    }
+
+    /// [`super::list_clusters`] on AVX-512F: per cluster, sixteen labels
+    /// per compare, the matching offsets compress-stored (`vpcompressd`)
+    /// at the cursor; the `len % 16` tail is scalar.
+    ///
+    /// # Safety
+    ///
+    /// The caller detected AVX-512F; `members.len() >= labels.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn list_clusters(
+        labels: &[i32],
+        at: &mut [u32],
+        members: &mut [u32],
+    ) -> usize {
+        debug_assert!(members.len() >= labels.len());
+        let k = at.len() - 1;
+        let step = _mm512_set1_epi32(16);
+        let mut hits = 0;
+        for (c, start) in at[..k].iter_mut().enumerate() {
+            *start = hits as u32;
+            let want = _mm512_set1_epi32(c as i32);
+            let mut offsets =
+                _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let mut i = 0;
+            while i + 16 <= labels.len() {
+                let v = _mm512_loadu_epi32(labels.as_ptr().add(i));
+                let hit = _mm512_cmpeq_epi32_mask(v, want);
+                _mm512_mask_compressstoreu_epi32(
+                    members.as_mut_ptr().add(hits).cast(),
+                    hit,
+                    offsets,
+                );
+                hits += hit.count_ones() as usize;
+                offsets = _mm512_add_epi32(offsets, step);
+                i += 16;
+            }
+            for (i, &l) in labels.iter().enumerate().skip(i) {
+                if l == c as i32 {
+                    members[hits] = i as u32;
+                    hits += 1;
+                }
+            }
+        }
+        at[k] = hits as u32;
         hits
     }
 
@@ -1568,6 +1710,69 @@ mod tests {
                                 got[r * d + j],
                                 want[j]
                             );
+                        }
+                    }
+                });
+            });
+        }
+
+        /// The grain lists equal a point-at-a-time scan (labels `≥ k` and
+        /// negative ones in no list, every `len % 16` tail), and the list
+        /// fold equals per-member adds onto non-zero sums: coordinate sums
+        /// and `|p − m|`, members up to the matrix's last row, NaN and ±∞
+        /// coordinates.
+        #[test]
+        fn cluster_lists_and_folds() {
+            each_tier(|t| {
+                for_cases(24, |rng| {
+                    let d = DIMS[rng.below(DIMS.len())];
+                    let (len, k) = (rng.range(0..600), rng.range(1..7));
+                    let first = rng.below(40);
+                    let adversarial = rng.below(2) == 1;
+                    let flat = matrix(rng, first + len + k, d, adversarial);
+                    let m_rows: Vec<&[f32]> = flat[(first + len) * d..].chunks(d).collect();
+                    let labels: Vec<i32> =
+                        (0..len).map(|_| rng.range(0..k + 3) as i32 - 1).collect();
+                    let mut at = vec![u32::MAX; k + 1];
+                    let mut members = vec![u32::MAX; len];
+                    let hits = list_clusters(&labels, &mut at, &mut members);
+                    assert_eq!(hits, at[k] as usize, "{t:?}");
+                    for c in 0..k {
+                        let want: Vec<u32> = (0..len as u32)
+                            .filter(|&i| labels[i as usize] == c as i32)
+                            .collect();
+                        let got = &members[at[c] as usize..at[c + 1] as usize];
+                        assert_eq!(got, &want[..], "{t:?} len {len} cluster {c}");
+                    }
+                    // Lists that end at the matrix's last row.
+                    let tail = &flat[..(first + len) * d];
+                    let start: Vec<f64> = (0..k * d).map(|i| i as f64 * 0.37 - 3.0).collect();
+                    for medoids in [None, Some(&m_rows[..k])] {
+                        let mut got = start.clone();
+                        fold_lists(&mut got, tail, d, first, &at, &members[..hits], medoids);
+                        for c in 0..k {
+                            let mut want = start[c * d..(c + 1) * d].to_vec();
+                            for &o in &members[at[c] as usize..at[c + 1] as usize] {
+                                let p = first + o as usize;
+                                let row = &tail[p * d..(p + 1) * d];
+                                match medoids {
+                                    Some(m) => fold_abs_diff(&mut want, row, m[c]),
+                                    None => {
+                                        for (w, &v) in want.iter_mut().zip(row) {
+                                            *w += v as f64;
+                                        }
+                                    }
+                                }
+                            }
+                            for j in 0..d {
+                                let g = got[c * d + j];
+                                assert!(
+                                    same64(g, want[j]),
+                                    "{t:?} d {d} cluster {c} j {j} abs {}: {g} vs {}",
+                                    medoids.is_some(),
+                                    want[j]
+                                );
+                            }
                         }
                     }
                 });

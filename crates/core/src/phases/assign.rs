@@ -5,6 +5,7 @@
 use crate::dataset::DataMatrix;
 use crate::distance_simd::{dispatch, nearest_medoid_within, LaneScratch, LANES};
 use crate::par::Executor;
+use crate::phases::evaluate::{GrainGroups, Groups};
 use crate::result::OUTLIER;
 
 /// Release-mode guard for the [`crate::distance::manhattan_segmental`]
@@ -94,47 +95,54 @@ pub fn assign_points(
     subspaces: &[Vec<usize>],
     exec: &Executor,
 ) -> Vec<i32> {
-    debug_assert_eq!(medoids.len(), subspaces.len());
-    assert_subspaces_non_empty(subspaces, "assign_points");
-    let medoid_rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
-    let mut labels = vec![0i32; data.n()];
-    exec.for_each_slice(&mut labels, |off, sub| {
-        assign_strip(
-            data,
-            &medoid_rows,
-            subspaces,
-            &[],
-            Strip::Rows(off),
-            sub,
-            None,
-        );
-    });
-    labels
+    assign_grouped(data, medoids, subspaces, &[], exec).labels
 }
 
-/// The refinement's AssignPoints with its outlier test in the same sweep:
-/// returns the [`assign_points`] labels and, beside them, the labels
-/// [`remove_outliers`](crate::phases::refinement::remove_outliers) makes
-/// of them — [`OUTLIER`] for every point outside the sphere `Δ_i` of
-/// every medoid (`spheres` from
-/// [`outlier_deltas`](crate::phases::refinement::outlier_deltas)), tested
-/// on the segmental distances the labels were chosen from.
-pub fn assign_points_marking_outliers(
+/// What the CPU backend's AssignPoints sweep leaves: the labels, the
+/// clusters grouped for EvaluateClusters, and with outlier spheres the
+/// refinement's marks.
+pub(crate) struct Assigned {
+    /// Per-point labels in `0..k`.
+    pub(crate) labels: Vec<i32>,
+    /// The labels' clusters, listed and summed grain by grain.
+    pub(crate) groups: Groups,
+    /// With `spheres`, the labels with every point outside all of them
+    /// marked [`OUTLIER`], as
+    /// [`remove_outliers`](crate::phases::refinement::remove_outliers)
+    /// marks them.
+    pub(crate) marked: Option<Vec<i32>>,
+}
+
+/// [`assign_points`] with the clusters grouped in the same sweep: when an
+/// executor grain has labelled its rows, it lists them cluster by cluster
+/// and sums each cluster's rows while they are in cache
+/// ([`GrainGroups::new`]). With `spheres` (from
+/// [`outlier_deltas`](crate::phases::refinement::outlier_deltas), one per
+/// medoid) the sweep also marks the refinement's outliers, tested on the
+/// segmental distances the labels were chosen from.
+pub(crate) fn assign_grouped(
     data: &DataMatrix,
     medoids: &[usize],
     subspaces: &[Vec<usize>],
     spheres: &[f64],
     exec: &Executor,
-) -> (Vec<i32>, Vec<i32>) {
+) -> Assigned {
     debug_assert_eq!(medoids.len(), subspaces.len());
-    debug_assert_eq!(medoids.len(), spheres.len());
+    assert!(spheres.is_empty() || spheres.len() == medoids.len());
     assert_subspaces_non_empty(subspaces, "assign_points");
+    let (n, k) = (data.n(), medoids.len());
     let medoid_rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
-    let mut labels = vec![0i32; data.n()];
-    let mut refined = vec![0i32; data.n()];
-    exec.for_each_strips(&mut [&mut labels, &mut refined], |off, strips| {
+    let marking = !spheres.is_empty();
+    let mut labels = vec![0i32; n];
+    let mut marked = vec![0i32; if marking { n } else { 0 }];
+    let mut outs: Vec<&mut [i32]> = vec![&mut labels];
+    if marking {
+        outs.push(&mut marked);
+    }
+    let grains = exec.map_strips(n, &mut outs, GrainGroups::default, |g, range, strips| {
         let (labels, refined) = strips.split_at_mut(1);
-        let (strip, refined) = (Strip::Rows(off), Some(&mut *refined[0]));
+        let refined = refined.first_mut().map(|r| &mut **r);
+        let strip = Strip::Rows(range.start);
         assign_strip(
             data,
             &medoid_rows,
@@ -144,8 +152,13 @@ pub fn assign_points_marking_outliers(
             labels[0],
             refined,
         );
+        *g = GrainGroups::new(data, range.start, labels[0], k);
     });
-    (labels, refined)
+    Assigned {
+        labels,
+        groups: Groups::new(grains, n, k, data.d()),
+        marked: marking.then_some(marked),
+    }
 }
 
 /// Assigns only the points listed in `todo` (data indices), writing their
@@ -175,17 +188,6 @@ pub fn assign_subset(
     for (&p, &lab) in todo.iter().zip(&out) {
         labels[p] = lab;
     }
-}
-
-/// Cluster sizes from a label array (ignores negative labels).
-pub fn cluster_sizes(labels: &[i32], k: usize) -> Vec<usize> {
-    let mut sizes = vec![0usize; k];
-    for &c in labels {
-        if c >= 0 {
-            sizes[c as usize] += 1;
-        }
-    }
-    sizes
 }
 
 #[cfg(test)]
@@ -275,11 +277,6 @@ mod tests {
             &mut labels,
             &Executor::Sequential,
         );
-    }
-
-    #[test]
-    fn cluster_sizes_ignore_outliers() {
-        assert_eq!(cluster_sizes(&[0, 1, -1, 1, 0, 0], 2), vec![3, 2]);
     }
 
     #[test]

@@ -2,104 +2,151 @@
 //! average Manhattan segmental distance from each point to its cluster's
 //! *centroid* within the cluster's subspace.
 //!
-//! Both passes walk the points cluster by cluster: one counting sort per
-//! call lists each cluster's members in ascending point order, so within
-//! one grain a cluster's members are a contiguous run of its list that
-//! shares one subspace and one centroid row. The float chains are the
-//! point-at-a-time sweep's: every (cluster, dimension) centroid sum folds
-//! its members in ascending order, and each grain folds its per-point
-//! cost terms into one `acc` in ascending point order. Only the *terms*
-//! are computed cluster by cluster, eight members at a time in lanes,
-//! into a per-grain buffer before that fold.
+//! AssignPoints leaves the clusters grouped, as GPU Alg. 5 leaves its
+//! lists `C_i`: each executor grain lists its points cluster by cluster
+//! and sums each cluster's rows while the grain is in cache
+//! (`GrainGroups`); `Groups` reduces the grains' sums in grain order
+//! into the centroids. Every (cluster, dimension) sum is one chain over
+//! the cluster's members in ascending point order per grain, as a
+//! point-at-a-time sweep adds them. EvaluateClusters then makes one pass:
+//! each grain computes its members' cost terms cluster by cluster, eight
+//! members at a time in lanes, into a per-grain buffer, and folds that
+//! buffer into one `acc` in ascending point order.
 
 use crate::dataset::DataMatrix;
-use crate::distance_simd::{dispatch, LaneScratch, LANES};
+use crate::distance_simd::{dispatch, fold_lists, list_clusters, LaneScratch, LANES};
 use crate::par::{grains_for, Executor};
 
-/// Each cluster's members (labels `0..k`) in ascending point order, with
-/// where each executor grain's members start in every list. Outliers are
-/// in no list.
-struct ClusterLists {
-    k: usize,
-    grain: usize,
-    members: Vec<usize>,
-    /// `at[g·k + c]`: index into `members` of cluster `c`'s first member
-    /// at or after grain `g`'s first point; row `grains` holds the ends.
-    at: Vec<usize>,
+/// One executor grain's clusters: `members[at[c]..at[c + 1]]` are the
+/// offsets, from the grain's first point, of cluster `c`'s members,
+/// ascending; `sums` holds each cluster's coordinate sums over them
+/// (`k × d`, every dimension).
+#[derive(Debug, Default)]
+pub(crate) struct GrainGroups {
+    at: Vec<u32>,
+    members: Vec<u32>,
+    sums: Vec<f64>,
 }
 
-impl ClusterLists {
-    /// One counting sort over `labels`, snapshotting the per-cluster
-    /// cursors at every grain boundary of [`grains_for`].
-    fn new(labels: &[i32], k: usize) -> Self {
-        let (grain, grains) = grains_for(labels.len());
-        let mut next = vec![0usize; k];
-        for &c in labels.iter().filter(|&&c| c >= 0) {
-            next[c as usize] += 1;
-        }
-        let mut total = 0;
-        for count in &mut next {
-            (*count, total) = (total, total + *count);
-        }
-        let mut members = vec![0usize; total];
-        let mut at = Vec::with_capacity((grains + 1) * k);
-        for g in 0..grains {
-            at.extend_from_slice(&next);
-            let lo = g * grain;
-            for (i, &c) in labels[lo..(lo + grain).min(labels.len())]
-                .iter()
-                .enumerate()
-            {
-                if c >= 0 {
-                    members[next[c as usize]] = lo + i;
-                    next[c as usize] += 1;
-                }
-            }
-        }
-        at.extend_from_slice(&next);
-        Self {
-            k,
-            grain,
-            members,
+impl GrainGroups {
+    /// Groups the grain of points `first..first + labels.len()` by their
+    /// `labels` (`0..k`; negative labels, outliers, are in no cluster).
+    pub(crate) fn new(data: &DataMatrix, first: usize, labels: &[i32], k: usize) -> Self {
+        let d = data.d();
+        let mut at = vec![0u32; k + 1];
+        let mut members = vec![0u32; labels.len()];
+        let listed = list_clusters(labels, &mut at, &mut members);
+        members.truncate(listed);
+        let mut grain = Self {
             at,
-        }
+            members,
+            sums: Vec::new(),
+        };
+        let mut sums = vec![0.0f64; k * d];
+        grain.fold(&mut sums, data, first, None);
+        grain.sums = sums;
+        grain
     }
 
-    /// Size of cluster `c`.
-    fn size(&self, c: usize) -> usize {
-        let ends = self.at.len() - self.k;
-        self.at[ends + c] - self.at[c]
+    /// Cluster `c`'s members, as offsets from the grain's first point.
+    pub(crate) fn members(&self, c: usize) -> &[u32] {
+        &self.members[self.at[c] as usize..self.at[c + 1] as usize]
     }
 
-    /// Cluster `c`'s members in the grain that starts at point `first`,
-    /// ascending.
-    fn within(&self, c: usize, first: usize) -> &[usize] {
-        let g = first / self.grain;
-        &self.members[self.at[g * self.k + c]..self.at[(g + 1) * self.k + c]]
+    /// Folds each cluster's member rows of the grain that starts at point
+    /// `first`, in ascending order, into its row of `h` (`k × d`): the
+    /// coordinates, or with `medoids` their distances `|p_j − m_{c,j}|`
+    /// ([`fold_lists`]).
+    pub(crate) fn fold(
+        &self,
+        h: &mut [f64],
+        data: &DataMatrix,
+        first: usize,
+        medoids: Option<&[&[f32]]>,
+    ) {
+        let (flat, d) = (data.flat(), data.d());
+        fold_lists(h, flat, d, first, &self.at, &self.members, medoids);
     }
 }
 
-/// Sets `sums[j]`, for each `j ∈ dims`, to the sum of coordinate `j` over
-/// the members' rows in list order: each one chain from `0.0`, so a
-/// dimension listed twice gets the same sum twice. Up to eight dimensions
-/// at a time are summed in registers across all members.
-#[inline(always)]
-fn sum_coords(sums: &mut [f64], flat: &[f32], d: usize, members: &[usize], dims: &[usize]) {
-    for chunk in dims.chunks(LANES) {
-        // Spare lanes of a short chunk repeat its last dimension, unused.
-        let dj: [usize; LANES] = std::array::from_fn(|t| chunk[t.min(chunk.len() - 1)]);
-        let mut acc = [0.0f64; LANES];
-        for &p in members {
-            let row = &flat[p * d..(p + 1) * d];
-            for t in 0..LANES {
-                if t < chunk.len() {
-                    acc[t] += row[dj[t]] as f64;
+/// Each cluster's members, grain by grain, its size and its centroid:
+/// what AssignPoints hands EvaluateClusters and the refinement.
+#[derive(Debug)]
+pub(crate) struct Groups {
+    grain: usize,
+    grains: Vec<GrainGroups>,
+    sizes: Vec<usize>,
+    /// Row-major `k × d` centroids; empty clusters have zero rows.
+    centroids: Vec<f64>,
+}
+
+impl Groups {
+    /// Reduces the grains of [`grains_for`]`(n)`, in grain order: sizes,
+    /// and centroid sums each added from `0.0` grain after grain, then
+    /// scaled by the cluster's size.
+    pub(crate) fn new(mut grains: Vec<GrainGroups>, n: usize, k: usize, d: usize) -> Self {
+        let (grain, count) = grains_for(n);
+        assert_eq!(grains.len(), count, "one group per grain");
+        let mut sizes = vec![0usize; k];
+        let mut centroids = vec![0.0f64; k * d];
+        for g in &mut grains {
+            for (c, size) in sizes.iter_mut().enumerate() {
+                *size += g.members(c).len();
+            }
+            for (acc, v) in centroids.iter_mut().zip(&g.sums) {
+                *acc += v;
+            }
+            g.sums = Vec::new();
+        }
+        for (c, &size) in sizes.iter().enumerate() {
+            if size > 0 {
+                let inv = 1.0 / size as f64;
+                for v in &mut centroids[c * d..(c + 1) * d] {
+                    *v *= inv;
                 }
             }
         }
-        for (t, &j) in chunk.iter().enumerate() {
-            sums[j] = acc[t];
+        Self {
+            grain,
+            grains,
+            sizes,
+            centroids,
         }
+    }
+
+    /// Groups an existing label array (`0..k`, or negative for outliers)
+    /// grain by grain, with the routine the AssignPoints sweep runs.
+    pub(crate) fn from_labels(
+        data: &DataMatrix,
+        labels: &[i32],
+        k: usize,
+        exec: &Executor,
+    ) -> Self {
+        let n = data.n();
+        assert_eq!(labels.len(), n, "one label per point");
+        assert!(
+            labels.iter().all(|&c| c < k as i32),
+            "a label is out of range for {k} clusters"
+        );
+        let grains = exec.map_chunks(n, GrainGroups::default, |g, range| {
+            *g = GrainGroups::new(data, range.start, &labels[range], k);
+        });
+        Self::new(grains, n, k, data.d())
+    }
+
+    /// Cluster sizes, outliers excluded.
+    pub(crate) fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
+    /// The number of clusters.
+    pub(crate) fn k(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// The groups of the grain that starts at point `first`.
+    pub(crate) fn grain(&self, first: usize) -> &GrainGroups {
+        &self.grains[first / self.grain]
     }
 }
 
@@ -115,57 +162,40 @@ fn sum_coords(sums: &mut [f64], flat: &[f32], d: usize, members: &[usize], dims:
 /// (|D_i| · n)` (Eq. 9) — the form the GPU kernel uses. Points with
 /// negative labels (outliers) are excluded from both centroids and cost;
 /// `n` is always the full dataset size, as in the paper. Empty clusters
-/// contribute zero.
+/// contribute zero. Labels must lie below `subspaces.len()`.
 pub fn evaluate_clusters(
     data: &DataMatrix,
     labels: &[i32],
     subspaces: &[Vec<usize>],
     exec: &Executor,
 ) -> f64 {
-    let (n, d, k) = (data.n(), data.d(), subspaces.len());
-    debug_assert_eq!(labels.len(), n);
-    let flat = data.flat();
-    let lists = ClusterLists::new(labels, k);
+    let groups = Groups::from_labels(data, labels, subspaces.len(), exec);
+    grouped_cost(data, &groups, subspaces, exec)
+}
 
-    // Pass 1: per-grain centroid sums. Only the entries of each cluster's
-    // subspace are summed — the only ones pass 2 reads — each one chain
-    // over the grain's members in ascending order, grain partials reduced
-    // in grain order.
-    let parts = exec.map_chunks(
-        n,
-        || vec![0.0f64; k * d],
-        |sums, range| {
-            for (c, dims) in subspaces.iter().enumerate() {
-                let members = lists.within(c, range.start);
-                sum_coords(&mut sums[c * d..(c + 1) * d], flat, d, members, dims);
-            }
-        },
-    );
-    let mut mu = vec![0.0f64; k * d];
-    for ps in parts {
-        for (acc, v) in mu.iter_mut().zip(&ps) {
-            *acc += v;
-        }
-    }
-    for c in 0..k {
-        if lists.size(c) > 0 {
-            let inv = 1.0 / lists.size(c) as f64;
-            for v in &mut mu[c * d..(c + 1) * d] {
-                *v *= inv;
-            }
-        }
-    }
-
-    // Pass 2: Eq. 9. Each member's term `s / |D_i|` is computed in lanes,
-    // cluster by cluster, into the grain's term buffer; the grain's `acc`
-    // is then ONE f64 chain over that buffer in ascending point order,
-    // exactly the point-at-a-time fold. Reassociating that chain (lane
-    // partials, folding in cluster order) would change the cost at ulp
-    // level and with it best-cost decisions; see DESIGN.md §14.
+/// [`evaluate_clusters`] over the [`Groups`] of the labels. Each member's
+/// term `s / |D_i|` is computed in lanes, cluster by cluster, into the
+/// grain's term buffer; the grain's `acc` is then ONE f64 chain over that
+/// buffer in ascending point order, exactly the point-at-a-time fold.
+/// An outlier's entry stays `+0.0`, and adding `+0.0` leaves `acc` (never
+/// `−0.0`: it starts at `+0.0` and adds terms `≥ +0.0` or NaN) unchanged,
+/// so the chain equals one that skips the outliers. Reassociating that
+/// chain (lane partials, folding in cluster order) would change the cost
+/// at ulp level and with it best-cost decisions; see DESIGN.md §14.
+pub(crate) fn grouped_cost(
+    data: &DataMatrix,
+    groups: &Groups,
+    subspaces: &[Vec<usize>],
+    exec: &Executor,
+) -> f64 {
+    let (n, d) = (data.n(), data.d());
+    assert_eq!(subspaces.len(), groups.k(), "one subspace per cluster");
+    let (flat, mu) = (data.flat(), &groups.centroids);
     let parts = exec.map_chunks(
         n,
         || 0.0f64,
         |acc, range| {
+            let grain = groups.grain(range.start);
             let mut terms = vec![0.0f64; range.len()];
             dispatch(
                 #[inline(always)]
@@ -173,61 +203,33 @@ pub fn evaluate_clusters(
                     let mut lanes = LaneScratch::new(d);
                     for (c, dims) in subspaces.iter().enumerate() {
                         let m = &mu[c * d..(c + 1) * d];
-                        for group in lists.within(c, range.start).chunks(LANES) {
+                        for group in grain.members(c).chunks(LANES) {
                             // A short last group repeats its final member.
                             let last = group[group.len() - 1];
-                            let points: [usize; LANES] =
-                                std::array::from_fn(|l| group.get(l).copied().unwrap_or(last));
+                            let points: [usize; LANES] = std::array::from_fn(|l| {
+                                range.start + group.get(l).copied().unwrap_or(last) as usize
+                            });
                             lanes.gather_rows(flat, &points);
                             let t = lanes.centroid_terms(m, dims);
-                            for (&p, &v) in group.iter().zip(&t) {
-                                terms[p - range.start] = v;
+                            for (&o, &v) in group.iter().zip(&t) {
+                                terms[o as usize] = v;
                             }
                         }
                     }
                 },
             );
-            for (&c, &t) in labels[range].iter().zip(&terms) {
-                if c >= 0 {
-                    *acc += t;
-                }
+            for &t in &terms {
+                *acc += t;
             }
         },
     );
     parts.into_iter().sum::<f64>() / n as f64
 }
 
-/// Centroids of the labeled clusters (row-major `k × d`), exposed for tests
-/// and the GPU cross-checks. Empty clusters yield zero rows.
-pub fn centroids(data: &DataMatrix, labels: &[i32], k: usize) -> Vec<f64> {
-    let d = data.d();
-    let mut mu = vec![0.0f64; k * d];
-    let mut counts = vec![0usize; k];
-    for (p, &c) in labels.iter().enumerate() {
-        if c < 0 {
-            continue;
-        }
-        let c = c as usize;
-        counts[c] += 1;
-        let row = data.row(p);
-        for j in 0..d {
-            mu[c * d + j] += row[j] as f64;
-        }
-    }
-    for i in 0..k {
-        if counts[i] > 0 {
-            let inv = 1.0 / counts[i] as f64;
-            for v in &mut mu[i * d..(i + 1) * d] {
-                *v *= inv;
-            }
-        }
-    }
-    mu
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::assign::assign_points;
     use crate::rng::ProclusRng;
 
     #[test]
@@ -305,15 +307,12 @@ mod tests {
         }
     }
 
-    /// The point-at-a-time EvaluateClusters the grouped passes replaced:
-    /// every (cluster, dimension) centroid sum over all `d` dimensions in
-    /// point order, then each point's term folded straight into its
-    /// grain's `acc`. The reference the grouped form must equal bit for
-    /// bit.
-    fn pointwise(data: &DataMatrix, labels: &[i32], subspaces: &[Vec<usize>]) -> f64 {
-        let (n, d, k) = (data.n(), data.d(), subspaces.len());
-        let exec = Executor::Sequential;
-        let parts = exec.map_chunks(
+    /// The point-at-a-time centroids: every (cluster, dimension) sum over
+    /// all `d` dimensions in point order per grain, grain partials reduced
+    /// in grain order, then scaled; and the cluster sizes.
+    fn pointwise_centroids(data: &DataMatrix, labels: &[i32], k: usize) -> (Vec<f64>, Vec<usize>) {
+        let (n, d) = (data.n(), data.d());
+        let parts = Executor::Sequential.map_chunks(
             n,
             || (vec![0.0f64; k * d], vec![0usize; k]),
             |(sums, counts), range| {
@@ -347,7 +346,17 @@ mod tests {
                 }
             }
         }
-        let parts = exec.map_chunks(
+        (mu, counts)
+    }
+
+    /// The point-at-a-time EvaluateClusters the grouped passes replaced:
+    /// [`pointwise_centroids`], then each point's term folded straight
+    /// into its grain's `acc`. The reference the grouped form must equal
+    /// bit for bit.
+    fn pointwise(data: &DataMatrix, labels: &[i32], subspaces: &[Vec<usize>]) -> f64 {
+        let (n, d) = (data.n(), data.d());
+        let (mu, _) = pointwise_centroids(data, labels, subspaces.len());
+        let parts = Executor::Sequential.map_chunks(
             n,
             || 0.0f64,
             |acc, range| {
@@ -366,6 +375,165 @@ mod tests {
             },
         );
         parts.into_iter().sum::<f64>() / n as f64
+    }
+
+    /// The refinement's point-at-a-time `X` fold the grouped one replaced:
+    /// each member's `|p − m_i|` folded into its grain's `h[i]` in point
+    /// order, reduced in grain order.
+    fn pointwise_x(data: &DataMatrix, medoids: &[usize], labels: &[i32]) -> (Vec<f64>, Vec<usize>) {
+        let (n, d, k) = (data.n(), data.d(), medoids.len());
+        let parts = Executor::Sequential.map_chunks(
+            n,
+            || (vec![0.0f64; k * d], vec![0usize; k]),
+            |(h, lsz), range| {
+                for p in range.filter(|&p| labels[p] >= 0) {
+                    let i = labels[p] as usize;
+                    lsz[i] += 1;
+                    let m = data.row(medoids[i]);
+                    for (h, (&v, &mj)) in h[i * d..(i + 1) * d]
+                        .iter_mut()
+                        .zip(data.row(p).iter().zip(m))
+                    {
+                        *h += ((v - mj) as f64).abs();
+                    }
+                }
+            },
+        );
+        crate::phases::compute_l::reduce_h_to_x(parts, k, d)
+    }
+
+    /// Each grain's lists, point at a time: cluster `c`'s members of the
+    /// grain in ascending order, as offsets from its first point.
+    fn pointwise_lists(labels: &[i32], k: usize) -> Vec<Vec<Vec<u32>>> {
+        let (grain, grains) = grains_for(labels.len());
+        (0..grains)
+            .map(|g| {
+                let lo = g * grain;
+                let part = &labels[lo..(lo + grain).min(labels.len())];
+                (0..k as i32)
+                    .map(|c| {
+                        (0..part.len() as u32)
+                            .filter(|&i| part[i as usize] == c)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A label array's groups, point at a time: each grain's lists, the
+    /// sizes, and the centroids' bits over every dimension.
+    type Reference = (Vec<Vec<Vec<u32>>>, Vec<usize>, Vec<u64>);
+
+    fn reference(data: &DataMatrix, labels: &[i32], k: usize) -> Reference {
+        let (mu, sizes) = pointwise_centroids(data, labels, k);
+        let bits = mu.iter().map(|x| x.to_bits()).collect();
+        (pointwise_lists(labels, k), sizes, bits)
+    }
+
+    /// Asserts that `groups` holds the reference's lists, sizes and
+    /// centroids bit for bit.
+    fn assert_groups(groups: &Groups, want: &Reference, what: &str) {
+        assert_eq!(groups.sizes(), &want.1[..], "{what}: sizes");
+        for (g, want) in want.0.iter().enumerate() {
+            for (c, want) in want.iter().enumerate() {
+                let got = groups.grains[g].members(c);
+                assert_eq!(got, &want[..], "{what}: grain {g} cluster {c}");
+            }
+        }
+        let bits: Vec<u64> = groups.centroids.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, want.2, "{what}: centroids");
+    }
+
+    /// Random subspaces of 1..=d dimensions, sorted, as FindDimensions
+    /// stores them.
+    fn random_subspaces(rng: &mut ProclusRng, k: usize, d: usize) -> Vec<Vec<usize>> {
+        (0..k)
+            .map(|_| {
+                let mut dims: Vec<usize> = (0..d).filter(|_| rng.below(2) == 0).collect();
+                if dims.is_empty() {
+                    dims.push(rng.below(d));
+                }
+                dims
+            })
+            .collect()
+    }
+
+    /// The groups the AssignPoints sweep builds (with and without the
+    /// refinement's spheres), the groups built from the same label array,
+    /// and the point-at-a-time reference agree bit for bit — lists, sizes,
+    /// centroids over every dimension, the cost, and the refinement's `X`
+    /// — under every tier the host runs and on every executor. The sweep
+    /// has an empty cluster (a repeated medoid loses every tie); the label
+    /// path adds outliers and a second empty cluster; the matrix's last
+    /// row is always a member, so the lanes that read it take the tail.
+    #[test]
+    fn sweep_and_label_groups_equal_the_pointwise_reference_on_every_tier() {
+        use crate::distance_simd::{host_tiers, with_tier};
+        use crate::phases::assign::assign_grouped;
+        use crate::phases::refinement::x_from_groups;
+        let execs = [
+            Executor::Sequential,
+            Executor::Parallel { threads: 2 },
+            Executor::Parallel { threads: 7 },
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = ProclusRng::new(0x6A0F);
+        for d in [1usize, 7, 8, 9, 15, 16, 23, 40] {
+            for n in [13usize, 2_048, 2_049, 4_103, 20_000] {
+                let flat: Vec<f32> = (0..n * d)
+                    .map(|_| (rng.next_u64() % 1_000_003) as f32 * 0.0071 - 3_000.0)
+                    .collect();
+                let data = DataMatrix::from_flat(flat, n, d).unwrap();
+                let k = 2 + rng.below(7);
+                let mut medoids: Vec<usize> = (0..k).map(|_| rng.below(n)).collect();
+                let mut subspaces = random_subspaces(&mut rng, k, d);
+                medoids[k - 1] = medoids[0];
+                subspaces[k - 1] = subspaces[0].clone();
+                let spheres = vec![f64::from(rng.uniform(0.0, 2_000.0)); k];
+                let swept = assign_points(&data, &medoids, &subspaces, &Executor::Sequential);
+                let mut labelled: Vec<i32> = swept
+                    .iter()
+                    .map(|&c| if rng.below(8) == 0 { -1 } else { c })
+                    .collect();
+                for c in labelled.iter_mut().filter(|c| **c == 1) {
+                    *c = -1;
+                }
+                labelled[n - 1] = 0;
+                let want_costs = [&swept, &labelled].map(|l| pointwise(&data, l, &subspaces));
+                let want_x = pointwise_x(&data, &medoids, &swept);
+                let (want_swept, want_labelled) =
+                    (reference(&data, &swept, k), reference(&data, &labelled, k));
+                for tier in host_tiers() {
+                    with_tier(tier, || {
+                        for exec in &execs {
+                            let what = format!("{tier:?} {exec:?} d {d} n {n} k {k}");
+                            // The refinement's sweep, which also marks
+                            // outliers, once per tier.
+                            let spheres = match exec {
+                                Executor::Sequential => &spheres[..],
+                                _ => &[],
+                            };
+                            let a = assign_grouped(&data, &medoids, &subspaces, spheres, exec);
+                            assert_eq!(a.labels, swept, "{what}: labels");
+                            assert_groups(&a.groups, &want_swept, &format!("{what} sweep"));
+                            let (x, lsz) = x_from_groups(&data, &medoids, &a.groups, exec);
+                            assert_eq!(lsz, want_x.1, "{what}: |L|");
+                            assert_eq!(bits(&x), bits(&want_x.0), "{what}: X");
+                            let same = Groups::from_labels(&data, &swept, k, exec);
+                            assert_groups(&same, &want_swept, &format!("{what} same labels"));
+                            let other = Groups::from_labels(&data, &labelled, k, exec);
+                            assert_groups(&other, &want_labelled, &format!("{what} outliers"));
+                            let cost = |g: &Groups| grouped_cost(&data, g, &subspaces, exec);
+                            let [swept_cost, outlier_cost] = want_costs.map(f64::to_bits);
+                            assert_eq!(cost(&a.groups).to_bits(), swept_cost, "{what}: sweep");
+                            assert_eq!(cost(&same).to_bits(), swept_cost, "{what}: cost");
+                            assert_eq!(cost(&other).to_bits(), outlier_cost, "{what}: outliers");
+                        }
+                    });
+                }
+            }
+        }
     }
 
     /// Seeded shapes around the lane width and the executor's grain
@@ -430,9 +598,16 @@ mod tests {
     }
 
     #[test]
-    fn centroids_average_members() {
+    fn group_centroids_average_members() {
         let data = DataMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let mu = centroids(&data, &[0, 0], 1);
-        assert_eq!(mu, vec![2.0, 3.0]);
+        let groups = Groups::from_labels(&data, &[0, 0], 1, &Executor::Sequential);
+        assert_eq!(groups.centroids, vec![2.0, 3.0]);
+    }
+
+    #[test]
+    fn group_sizes_ignore_outliers() {
+        let data = DataMatrix::from_flat(vec![0.0; 6], 6, 1).unwrap();
+        let groups = Groups::from_labels(&data, &[0, 1, -1, 1, 0, 0], 2, &Executor::Sequential);
+        assert_eq!(groups.sizes(), &[3, 2]);
     }
 }

@@ -4,42 +4,38 @@
 
 use crate::dataset::DataMatrix;
 use crate::distance::manhattan_segmental;
-use crate::distance_simd::{dispatch, fold_abs_diff, LaneScratch, LANES};
+use crate::distance_simd::{dispatch, LaneScratch, LANES};
 use crate::par::Executor;
 use crate::phases::assign::assert_subspaces_non_empty;
 use crate::phases::compute_l::reduce_h_to_x;
+use crate::phases::evaluate::Groups;
 use crate::result::OUTLIER;
 
 /// Computes the averaged per-dimension distance matrix `X` using the best
 /// clusters as the point sets `L` (Alg. 1 line 16–17): for each cluster
-/// member `p` of cluster `i`, accumulate `|p_j − m_{i,j}|`.
-pub fn x_from_clusters(
+/// member `p` of cluster `i`, accumulate `|p_j − m_{i,j}|`, and returns it
+/// with the sizes `|L_i|`. Each grain folds each cluster's member rows in
+/// list order (ascending points) against the cluster's medoid, a member's
+/// 8-dimension blocks in registers, so every `(i, j)` chain adds its
+/// members in point order; the grain partials are reduced in grain order.
+pub(crate) fn x_from_groups(
     data: &DataMatrix,
     medoids: &[usize],
-    labels: &[i32],
+    groups: &Groups,
     exec: &Executor,
 ) -> (Vec<f64>, Vec<usize>) {
     let (n, d, k) = (data.n(), data.d(), medoids.len());
-    debug_assert_eq!(labels.len(), n);
+    assert_eq!(groups.k(), k, "one medoid per cluster");
+    let medoid_rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
     let parts = exec.map_chunks(
         n,
         || (vec![0.0f64; k * d], vec![0usize; k]),
         |(h, lsz), range| {
-            for p in range {
-                let c = labels[p];
-                if c < 0 {
-                    continue;
-                }
-                let i = c as usize;
-                lsz[i] += 1;
-                // Unrolled over dimensions; per-j reduction order across
-                // points is unchanged (each h[j] is its own chain).
-                fold_abs_diff(
-                    &mut h[i * d..(i + 1) * d],
-                    data.row(p),
-                    data.row(medoids[i]),
-                );
+            let grain = groups.grain(range.start);
+            for (c, size) in lsz.iter_mut().enumerate() {
+                *size = grain.members(c).len();
             }
+            grain.fold(h, data, range.start, Some(&medoid_rows));
         },
     );
     reduce_h_to_x(parts, k, d)
@@ -146,8 +142,9 @@ mod tests {
     #[test]
     fn x_from_clusters_uses_members_only() {
         let d = data();
-        let labels = vec![0, 0, 1, 1, 1];
-        let (x, sizes) = x_from_clusters(&d, &[0, 2], &labels, &Executor::Sequential);
+        let exec = Executor::Sequential;
+        let groups = Groups::from_labels(&d, &[0, 0, 1, 1, 1], 2, &exec);
+        let (x, sizes) = x_from_groups(&d, &[0, 2], &groups, &exec);
         assert_eq!(sizes, vec![2, 3]);
         // cluster 0, dim 0: (|0-0| + |1-0|)/2 = 0.5
         assert!((x[0] - 0.5).abs() < 1e-12);
