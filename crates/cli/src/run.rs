@@ -385,7 +385,7 @@ fn stream(args: StreamArgs) -> Result<String, (i32, String)> {
     }
     out.push_str(
         "\nratio = full distance computations this epoch / the cold epoch's; \
-         incremental epochs re-use cached rows and memoized assignments.\n",
+         incremental epochs re-use cached distance rows.\n",
     );
     Ok(out)
 }

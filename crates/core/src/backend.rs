@@ -62,7 +62,7 @@ use crate::fast::{compute_dist_rows, FastEngine};
 use crate::fast_star::FastStarEngine;
 use crate::par::Executor;
 use crate::params::Params;
-use crate::phases::assign::{assign_grouped, assign_subset};
+use crate::phases::assign::assign_grouped;
 use crate::phases::evaluate::{grouped_cost, Groups};
 use crate::phases::find_dimensions::find_dimensions;
 use crate::phases::initialization::greedy_select;
@@ -119,9 +119,11 @@ pub trait Backend {
     /// preceding [`Backend::compute_x`] / [`Backend::x_from_best`] call.
     fn find_dims(&mut self, k: usize, l: usize, rec: &dyn Recorder) -> Result<Vec<Vec<usize>>>;
 
-    /// AssignPoints: label every point with its nearest medoid under the
-    /// given subspaces; returns the cluster sizes. Labels stay inside the
-    /// backend (device-resident for GPU backends).
+    /// AssignPoints: label every point with its nearest medoid under
+    /// `dims`, one subspace per medoid, whether a preceding
+    /// [`Backend::find_dims`] picked them or the caller did (the streaming
+    /// driver picks them on the host); returns the cluster sizes. Labels
+    /// stay inside the backend (device-resident for GPU backends).
     fn assign(
         &mut self,
         medoids: &[usize],
@@ -195,30 +197,6 @@ pub trait Backend {
             .map(|&m| self.dist_subset(m, &all, rec))
             .collect()
     }
-
-    /// Seeded AssignPoints for the streaming driver: install `seed_labels`
-    /// as the full label array (one entry per point; entries for `todo`
-    /// positions are ignored), then assign only the `todo` points against
-    /// `medoids` under `dims` (ties to the lower medoid index, exactly as
-    /// [`Backend::assign`]). Returns the cluster sizes over *all* points.
-    /// After this call the backend's label state must be complete — i.e.
-    /// [`Backend::evaluate`], [`Backend::save_best`],
-    /// [`Backend::remove_outliers`] and [`Backend::labels`] behave as if
-    /// [`Backend::assign`] had labelled every point.
-    fn assign_seeded(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-        seed_labels: &[i32],
-        todo: &[usize],
-        rec: &dyn Recorder,
-    ) -> Result<Vec<usize>> {
-        let _ = (medoids, dims, seed_labels, todo, rec);
-        Err(ProclusError::unsupported(format!(
-            "backend `{}` does not implement assign_seeded (streaming)",
-            self.name()
-        )))
-    }
 }
 
 /// The CPU backend: host execution through [`Executor`], with the variant
@@ -257,14 +235,6 @@ impl<'a> CpuBackend<'a> {
     /// [`Backend::x_from_best`] are actually called.
     pub fn new(data: &'a DataMatrix, exec: Executor) -> Self {
         Self::with_engine(data, exec, Box::new(BaselineEngine))
-    }
-
-    /// Keeps an assign's groups for `evaluate` and `save_best`, and
-    /// returns the cluster sizes.
-    fn keep(&mut self, groups: Groups) -> Vec<usize> {
-        let sizes = groups.sizes().to_vec();
-        self.groups = Some(Arc::new(groups));
-        sizes
     }
 
     /// Wraps an `X` engine.
@@ -362,7 +332,9 @@ impl Backend for CpuBackend<'_> {
             labels,
         });
         self.labels = assigned.labels;
-        Ok(self.keep(assigned.groups))
+        let sizes = assigned.groups.sizes().to_vec();
+        self.groups = Some(Arc::new(assigned.groups));
+        Ok(sizes)
     }
 
     fn labels(&mut self) -> Result<Vec<i32>> {
@@ -455,30 +427,6 @@ impl Backend for CpuBackend<'_> {
         compute_dist_rows(self.data, &m_rows, &mut outs, &self.exec);
         Ok(rows)
     }
-
-    fn assign_seeded(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-        seed_labels: &[i32],
-        todo: &[usize],
-        _rec: &dyn Recorder,
-    ) -> Result<Vec<usize>> {
-        if seed_labels.len() != self.data.n() {
-            return Err(ProclusError::data(format!(
-                "assign_seeded: {} seed labels for {} points",
-                seed_labels.len(),
-                self.data.n()
-            )));
-        }
-        // The stream's memo-seeded assign keeps the outlier scan: only the
-        // scan has every point's distances here.
-        (self.refining, self.marked) = (false, None);
-        self.labels = seed_labels.to_vec();
-        assign_subset(self.data, medoids, dims, todo, &mut self.labels, &self.exec);
-        let groups = Groups::from_labels(self.data, &self.labels, medoids.len(), &self.exec);
-        Ok(self.keep(groups))
-    }
 }
 
 /// The error of a primitive called before the one that feeds it.
@@ -562,29 +510,6 @@ mod tests {
         }
         let mut backend = CpuBackend::new(&data, Executor::Sequential);
         assert!(backend.dist_rows(&[], &NullRecorder).unwrap().is_empty());
-    }
-
-    #[test]
-    fn assign_subset_on_mixed_lists_equals_assign_points() {
-        let (data, execs) = setup();
-        let medoids = [3usize, 900, 2_500, 4_100];
-        let subs = [
-            vec![0, 4, 9],
-            vec![1, 2],
-            vec![3, 7, 8, 14],
-            vec![5, 10, 11],
-        ];
-        let full = assign_points(&data, &medoids, &subs, &Executor::Sequential);
-        for exec in execs {
-            for todo in lists(data.n()) {
-                let mut labels = full.clone();
-                for &p in &todo {
-                    labels[p] = -2;
-                }
-                assign_subset(&data, &medoids, &subs, &todo, &mut labels, &exec);
-                assert_eq!(labels, full, "{exec:?} len {}", todo.len());
-            }
-        }
     }
 
     /// `evaluate` (and `save_best`) before any `assign` or after

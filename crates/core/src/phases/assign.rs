@@ -22,36 +22,22 @@ pub(crate) fn assert_subspaces_non_empty(subspaces: &[Vec<usize>], phase: &str) 
     }
 }
 
-/// Where the points of one strip sit in the data matrix.
-#[derive(Clone, Copy)]
-enum Strip<'a> {
-    /// Consecutive rows starting at this data index.
-    Rows(usize),
-    /// Listed data indices (the stream's memo misses).
-    Listed(&'a [usize]),
-}
-
-/// Labels a strip of points with the nearest-medoid rule: each lane group
-/// of eight is loaded once into a transposed [`LaneScratch`] (the AVX
-/// register transpose, for consecutive rows and listed points alike),
-/// after which every medoid's subspace walk reads contiguous lanes; the
-/// `% 8` tail is scalar. With `refined`, the same distances also mark
-/// there, as [`OUTLIER`], every point outside all of the `spheres`, and
-/// copy the label of every other point.
-#[allow(clippy::too_many_arguments)]
+/// Labels the strip of consecutive rows starting at data index `first`
+/// with the nearest-medoid rule: each lane group of eight is loaded once
+/// into a transposed [`LaneScratch`] (the AVX register transpose), after
+/// which every medoid's subspace walk reads contiguous lanes; the `% 8`
+/// tail is scalar. With `refined`, the same distances also mark there, as
+/// [`OUTLIER`], every point outside all of the `spheres`, and copy the
+/// label of every other point.
 fn assign_strip(
     data: &DataMatrix,
     medoid_rows: &[&[f32]],
     subspaces: &[Vec<usize>],
     spheres: &[f64],
-    strip: Strip<'_>,
+    first: usize,
     out: &mut [i32],
     mut refined: Option<&mut [i32]>,
 ) {
-    let point = |i: usize| match strip {
-        Strip::Rows(first) => first + i,
-        Strip::Listed(points) => points[i],
-    };
     dispatch(
         #[inline(always)]
         || {
@@ -60,10 +46,7 @@ fn assign_strip(
             let len = out.len();
             let mut i = 0;
             while i + LANES <= len {
-                match strip {
-                    Strip::Rows(first) => lanes.load_rows(flat, first + i),
-                    Strip::Listed(points) => lanes.gather_rows(flat, &points[i..]),
-                }
+                lanes.load_rows(flat, first + i);
                 let (labels, inside) = lanes.nearest_within(medoid_rows, subspaces, spheres);
                 out[i..i + LANES].copy_from_slice(&labels);
                 if let Some(refined) = refined.as_deref_mut() {
@@ -74,7 +57,7 @@ fn assign_strip(
                 i += LANES;
             }
             while i < len {
-                let row = data.row(point(i));
+                let row = data.row(first + i);
                 let (label, inside) = nearest_medoid_within(row, medoid_rows, subspaces, spheres);
                 out[i] = label;
                 if let Some(refined) = refined.as_deref_mut() {
@@ -142,13 +125,12 @@ pub(crate) fn assign_grouped(
     let grains = exec.map_strips(n, &mut outs, GrainGroups::default, |g, range, strips| {
         let (labels, refined) = strips.split_at_mut(1);
         let refined = refined.first_mut().map(|r| &mut **r);
-        let strip = Strip::Rows(range.start);
         assign_strip(
             data,
             &medoid_rows,
             subspaces,
             spheres,
-            strip,
+            range.start,
             labels[0],
             refined,
         );
@@ -158,35 +140,6 @@ pub(crate) fn assign_grouped(
         labels,
         groups: Groups::new(grains, n, k, data.d()),
         marked: marking.then_some(marked),
-    }
-}
-
-/// Assigns only the points listed in `todo` (data indices), writing their
-/// labels into `labels` in place and leaving every other entry untouched.
-/// Per point this is exactly the [`assign_points`] rule — closest medoid by
-/// Manhattan segmental distance in the medoid's own subspace, ties to the
-/// lower medoid index — so seeding `labels` from a previous identical
-/// assignment and re-assigning only new points reproduces the full
-/// assignment bit for bit.
-pub fn assign_subset(
-    data: &DataMatrix,
-    medoids: &[usize],
-    subspaces: &[Vec<usize>],
-    todo: &[usize],
-    labels: &mut [i32],
-    exec: &Executor,
-) {
-    debug_assert_eq!(medoids.len(), subspaces.len());
-    debug_assert_eq!(labels.len(), data.n());
-    assert_subspaces_non_empty(subspaces, "assign_subset");
-    let medoid_rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
-    let mut out = vec![0i32; todo.len()];
-    exec.for_each_slice(&mut out, |off, sub| {
-        let strip = Strip::Listed(&todo[off..off + sub.len()]);
-        assign_strip(data, &medoid_rows, subspaces, &[], strip, sub, None);
-    });
-    for (&p, &lab) in todo.iter().zip(&out) {
-        labels[p] = lab;
     }
 }
 
@@ -262,46 +215,5 @@ mod tests {
         // `cargo test --release` too.
         let data = DataMatrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
         let _ = assign_points(&data, &[0, 1], &[vec![0], vec![]], &Executor::Sequential);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty subspace")]
-    fn empty_subspace_panics_in_subset_assignment_too() {
-        let data = DataMatrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
-        let mut labels = vec![0, 0];
-        assign_subset(
-            &data,
-            &[0],
-            &[vec![]],
-            &[1],
-            &mut labels,
-            &Executor::Sequential,
-        );
-    }
-
-    #[test]
-    fn seeded_subset_assignment_matches_full_assignment() {
-        let rows: Vec<Vec<f32>> = (0..200)
-            .map(|i| vec![(i % 17) as f32, (i % 5) as f32, (i % 9) as f32])
-            .collect();
-        let data = DataMatrix::from_rows(&rows).unwrap();
-        let medoids = [3usize, 90, 170];
-        let subs = [vec![0, 2], vec![1], vec![0, 1, 2]];
-        let full = assign_points(&data, &medoids, &subs, &Executor::Sequential);
-        // Seed half the labels from the full pass, recompute the rest.
-        let mut labels = full.clone();
-        let todo: Vec<usize> = (0..data.n()).filter(|p| p % 2 == 1).collect();
-        for &p in &todo {
-            labels[p] = -2; // poison; must be overwritten
-        }
-        assign_subset(
-            &data,
-            &medoids,
-            &subs,
-            &todo,
-            &mut labels,
-            &Executor::Parallel { threads: 3 },
-        );
-        assert_eq!(labels, full);
     }
 }

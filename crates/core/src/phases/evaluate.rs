@@ -463,20 +463,25 @@ mod tests {
     /// refinement's spheres), the groups built from the same label array,
     /// and the point-at-a-time reference agree bit for bit — lists, sizes,
     /// centroids over every dimension, the cost, and the refinement's `X`
-    /// — under every tier the host runs and on every executor. The sweep
-    /// has an empty cluster (a repeated medoid loses every tie); the label
-    /// path adds outliers and a second empty cluster; the matrix's last
-    /// row is always a member, so the lanes that read it take the tail.
+    /// — under every tier the host runs and on 2 and 7 threads. A forced
+    /// tier pins only its own thread, so each tier runs on
+    /// `Executor::Sequential`, which takes every grain on that thread with
+    /// the executors' grain boundaries; the threaded runs use the detected
+    /// tier. The sweep has an empty cluster (a repeated medoid loses every
+    /// tie); the label path adds outliers and a second empty cluster; the
+    /// matrix's last row is always a member, so the lanes that read it
+    /// take the tail.
     #[test]
     fn sweep_and_label_groups_equal_the_pointwise_reference_on_every_tier() {
-        use crate::distance_simd::{host_tiers, with_tier};
+        use crate::distance_simd::{host_tiers, with_tier, Tier};
         use crate::phases::assign::assign_grouped;
         use crate::phases::refinement::x_from_groups;
-        let execs = [
-            Executor::Sequential,
-            Executor::Parallel { threads: 2 },
-            Executor::Parallel { threads: 7 },
-        ];
+        let mut runs: Vec<(Option<Tier>, Executor)> = host_tiers()
+            .into_iter()
+            .map(|t| (Some(t), Executor::Sequential))
+            .collect();
+        runs.push((None, Executor::Parallel { threads: 2 }));
+        runs.push((None, Executor::Parallel { threads: 7 }));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = ProclusRng::new(0x6A0F);
         for d in [1usize, 7, 8, 9, 15, 16, 23, 40] {
@@ -504,33 +509,35 @@ mod tests {
                 let want_x = pointwise_x(&data, &medoids, &swept);
                 let (want_swept, want_labelled) =
                     (reference(&data, &swept, k), reference(&data, &labelled, k));
-                for tier in host_tiers() {
-                    with_tier(tier, || {
-                        for exec in &execs {
-                            let what = format!("{tier:?} {exec:?} d {d} n {n} k {k}");
-                            // The refinement's sweep, which also marks
-                            // outliers, once per tier.
-                            let spheres = match exec {
-                                Executor::Sequential => &spheres[..],
-                                _ => &[],
-                            };
-                            let a = assign_grouped(&data, &medoids, &subspaces, spheres, exec);
-                            assert_eq!(a.labels, swept, "{what}: labels");
-                            assert_groups(&a.groups, &want_swept, &format!("{what} sweep"));
-                            let (x, lsz) = x_from_groups(&data, &medoids, &a.groups, exec);
-                            assert_eq!(lsz, want_x.1, "{what}: |L|");
-                            assert_eq!(bits(&x), bits(&want_x.0), "{what}: X");
-                            let same = Groups::from_labels(&data, &swept, k, exec);
-                            assert_groups(&same, &want_swept, &format!("{what} same labels"));
-                            let other = Groups::from_labels(&data, &labelled, k, exec);
-                            assert_groups(&other, &want_labelled, &format!("{what} outliers"));
-                            let cost = |g: &Groups| grouped_cost(&data, g, &subspaces, exec);
-                            let [swept_cost, outlier_cost] = want_costs.map(f64::to_bits);
-                            assert_eq!(cost(&a.groups).to_bits(), swept_cost, "{what}: sweep");
-                            assert_eq!(cost(&same).to_bits(), swept_cost, "{what}: cost");
-                            assert_eq!(cost(&other).to_bits(), outlier_cost, "{what}: outliers");
-                        }
-                    });
+                for (tier, exec) in &runs {
+                    let run = || {
+                        let what = format!("{tier:?} {exec:?} d {d} n {n} k {k}");
+                        // The refinement's sweep, which also marks
+                        // outliers, once per tier.
+                        let spheres = match exec {
+                            Executor::Sequential => &spheres[..],
+                            _ => &[],
+                        };
+                        let a = assign_grouped(&data, &medoids, &subspaces, spheres, exec);
+                        assert_eq!(a.labels, swept, "{what}: labels");
+                        assert_groups(&a.groups, &want_swept, &format!("{what} sweep"));
+                        let (x, lsz) = x_from_groups(&data, &medoids, &a.groups, exec);
+                        assert_eq!(lsz, want_x.1, "{what}: |L|");
+                        assert_eq!(bits(&x), bits(&want_x.0), "{what}: X");
+                        let same = Groups::from_labels(&data, &swept, k, exec);
+                        assert_groups(&same, &want_swept, &format!("{what} same labels"));
+                        let other = Groups::from_labels(&data, &labelled, k, exec);
+                        assert_groups(&other, &want_labelled, &format!("{what} outliers"));
+                        let cost = |g: &Groups| grouped_cost(&data, g, &subspaces, exec);
+                        let [swept_cost, outlier_cost] = want_costs.map(f64::to_bits);
+                        assert_eq!(cost(&a.groups).to_bits(), swept_cost, "{what}: sweep");
+                        assert_eq!(cost(&same).to_bits(), swept_cost, "{what}: cost");
+                        assert_eq!(cost(&other).to_bits(), outlier_cost, "{what}: outliers");
+                    };
+                    match tier {
+                        Some(t) => with_tier(*t, run),
+                        None => run(),
+                    }
                 }
             }
         }

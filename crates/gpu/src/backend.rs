@@ -18,7 +18,7 @@ use proclus::phases::find_dimensions::pick_dimensions;
 use proclus::{DataMatrix, ProclusError, ProclusRng, Result};
 use proclus_telemetry::{counters, Recorder};
 
-use crate::kernels::assign::{assign_kernel, assign_subset_kernel};
+use crate::kernels::assign::assign_kernel;
 use crate::kernels::delta::deltas_kernel;
 use crate::kernels::dist::dist_subset_kernel;
 use crate::kernels::evaluate::evaluate_kernel;
@@ -42,16 +42,16 @@ pub enum GpuVariant {
     FastStar,
 }
 
-/// Flattens subspaces for upload; returns the offsets (host side).
-pub(crate) fn upload_dims(dev: &mut Device, ws: &Workspace, dims: &[Vec<usize>]) -> Vec<usize> {
+/// Flattens subspaces for upload: the dimension indices back to back, and
+/// the offset of each subspace's first entry plus the total.
+pub(crate) fn flat_dims(dims: &[Vec<usize>]) -> (Vec<u32>, Vec<usize>) {
     let mut flat = Vec::new();
     let mut offsets = vec![0usize];
     for s in dims {
         flat.extend(s.iter().map(|&j| j as u32));
         offsets.push(flat.len());
     }
-    dev.upload(&ws.dims_flat, &flat);
-    offsets
+    (flat, offsets)
 }
 
 /// One device, one workspace: the single-GPU execution backend.
@@ -59,13 +59,16 @@ pub(crate) fn upload_dims(dev: &mut Device, ws: &Workspace, dims: &[Vec<usize>])
 /// Borrows the device, workspace, and row cache so grid runners can keep
 /// them alive across settings (the persistent `Dist` cache of §3.1) while
 /// each setting drives its own backend value through the shared driver.
-/// The subspace offsets of the latest [`Backend::find_dims`] call are kept
-/// here between phases — the flattened dims live in device memory.
+/// The flattened subspaces live in device memory; a host copy and their
+/// offsets are kept here, so [`Backend::assign`] uploads only subspaces
+/// other than the resident ones.
 pub struct GpuBackend<'a> {
     dev: &'a mut Device,
     ws: &'a Workspace,
     cache: &'a mut RowCache,
     variant: GpuVariant,
+    /// The subspaces in `ws.dims_flat`, and their offsets.
+    dims: Vec<Vec<usize>>,
     offsets: Vec<usize>,
 }
 
@@ -82,8 +85,17 @@ impl<'a> GpuBackend<'a> {
             ws,
             cache,
             variant,
+            dims: Vec::new(),
             offsets: Vec::new(),
         }
+    }
+
+    /// Uploads `dims` to the workspace and keeps their host copy.
+    fn upload_dims(&mut self, dims: &[Vec<usize>]) {
+        let (flat, offsets) = flat_dims(dims);
+        self.dev.upload(&self.ws.dims_flat, &flat);
+        self.dims = dims.to_vec();
+        self.offsets = offsets;
     }
 }
 
@@ -314,16 +326,20 @@ impl Backend for GpuBackend<'_> {
         z_kernel(self.dev, &self.ws.x, &self.ws.z, k, d);
         let z = self.dev.dtoh(&self.ws.z);
         let dims = pick_dimensions(&z[..k * d], k, d, l);
-        self.offsets = upload_dims(self.dev, self.ws, &dims);
+        self.upload_dims(&dims);
         Ok(dims)
     }
 
     fn assign(
         &mut self,
         medoids: &[usize],
-        _dims: &[Vec<usize>],
+        dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> Result<Vec<usize>> {
+        // After `find_dims` the subspaces are resident already.
+        if self.dims != dims {
+            self.upload_dims(dims);
+        }
         assign_kernel(
             self.dev,
             &self.ws.data,
@@ -444,70 +460,6 @@ impl Backend for GpuBackend<'_> {
         Ok(host)
     }
 
-    fn assign_seeded(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-        seed_labels: &[i32],
-        todo: &[usize],
-        _rec: &dyn Recorder,
-    ) -> Result<Vec<usize>> {
-        let n = self.ws.n;
-        if seed_labels.len() != n {
-            return Err(ProclusError::InvalidData {
-                reason: format!(
-                    "assign_seeded: {} seed labels for {} points",
-                    seed_labels.len(),
-                    n
-                ),
-            });
-        }
-        // The streaming driver picks subspaces on the host, so the flat
-        // dims reach the device here rather than through `find_dims`.
-        self.offsets = upload_dims(self.dev, self.ws, dims);
-        self.dev.upload(&self.ws.labels, seed_labels);
-        if !todo.is_empty() {
-            let todo_host: Vec<u32> = todo.iter().map(|&p| p as u32).collect();
-            let todo_buf = self
-                .dev
-                .htod("stream.assign_todo", &todo_host)
-                .map_err(|e| ProclusError::Device {
-                    reason: e.to_string(),
-                })?;
-            assign_subset_kernel(
-                self.dev,
-                &self.ws.data,
-                self.ws.d,
-                medoids,
-                &self.ws.dims_flat,
-                &self.offsets,
-                &todo_buf,
-                todo.len(),
-                &self.ws.labels,
-            );
-            self.dev.free(&todo_buf).map_err(|e| ProclusError::Device {
-                reason: e.to_string(),
-            })?;
-        }
-        // Rebuild the member lists so evaluate/remove_outliers see a
-        // partition consistent with the seeded labels.
-        lists_from_labels_kernel(
-            self.dev,
-            &self.ws.labels,
-            n,
-            &self.ws.c_list,
-            &self.ws.c_count,
-        );
-        let mut sizes: Vec<usize> = self
-            .dev
-            .dtoh(&self.ws.c_count)
-            .iter()
-            .map(|&c| c as usize)
-            .collect();
-        sizes.truncate(medoids.len());
-        Ok(sizes)
-    }
-
     fn remove_outliers(
         &mut self,
         medoids: &[usize],
@@ -535,5 +487,81 @@ impl Backend for GpuBackend<'_> {
             &self.ws.labels,
         );
         Ok(())
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use gpu_sim::DeviceConfig;
+    use proclus::par::Executor;
+    use proclus::phases::assign::assign_points;
+    use proclus_telemetry::NullRecorder;
+
+    use super::*;
+
+    /// Four shifted blobs of 60 points in six dimensions.
+    pub(crate) fn blobs() -> DataMatrix {
+        let rows: Vec<Vec<f32>> = (0..240)
+            .map(|i| {
+                let c = (i % 4) as f32 * 20.0;
+                (0..6)
+                    .map(|j| c * (j % 3) as f32 + ((i * (j + 5) * 37) % 101) as f32 * 0.07)
+                    .collect()
+            })
+            .collect();
+        DataMatrix::from_rows(&rows).unwrap()
+    }
+
+    /// The medoids, subspaces other than any `find_dims` picks here (the
+    /// blobs do not differ in dimensions 0 and 3), and the labels they
+    /// give.
+    pub(crate) fn given(data: &DataMatrix) -> ([usize; 4], Vec<Vec<usize>>, Vec<i32>) {
+        let medoids = [3usize, 70, 141, 208];
+        let dims = vec![vec![0, 3], vec![3], vec![0, 1], vec![0]];
+        let labels = assign_points(data, &medoids, &dims, &Executor::Sequential);
+        (medoids, dims, labels)
+    }
+
+    /// `assign` labels under the subspaces it is handed: on a fresh
+    /// backend, and after `find_dims` uploaded other ones. Under the
+    /// subspaces `find_dims` returned, its only transfer is the sizes
+    /// readback, so a batch run's clock is what it was before `assign`
+    /// checked them.
+    #[test]
+    fn assign_labels_under_the_given_subspaces() {
+        let data = blobs();
+        let (medoids, dims, want) = given(&data);
+        let (n, k, rec) = (data.n(), medoids.len(), &NullRecorder);
+        let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
+        dev.set_deterministic(true);
+        let ws = Workspace::new(&mut dev, &data, k, 40, 16).unwrap();
+        let mut cache = RowCache::new_fast(n, data.d(), k);
+        let mut b = GpuBackend::new(&mut dev, &ws, &mut cache, GpuVariant::Fast);
+        b.assign(&medoids, &dims, rec).unwrap();
+        assert_eq!(b.labels().unwrap(), want, "fresh backend");
+
+        b.compute_x(&medoids, &[0, 1, 2, 3], rec).unwrap();
+        let found = b.find_dims(k, 3, rec).unwrap();
+        let under_found = assign_points(&data, &medoids, &found, &Executor::Sequential);
+        assert_ne!(under_found, want, "the two subspace sets label apart");
+        let transfer = |b: &GpuBackend<'_>| b.dev.report().transfer_us;
+        let t0 = transfer(&b);
+        b.assign(&medoids, &dims, rec).unwrap();
+        let uploaded = transfer(&b) - t0;
+        assert_eq!(b.labels().unwrap(), want, "after find_dims");
+
+        b.find_dims(k, 3, rec).unwrap();
+        let t0 = transfer(&b);
+        b.assign(&medoids, &found, rec).unwrap();
+        let t1 = transfer(&b);
+        b.dev.dtoh(&b.ws.c_count);
+        let readback = transfer(&b) - t1;
+        let spent = t1 - t0;
+        assert!((spent - readback).abs() < 1e-9, "{spent} vs {readback}");
+        assert!(uploaded > readback + 1e-9, "other subspaces are uploaded");
+        assert_eq!(b.labels().unwrap(), under_found);
+        drop(b);
+        cache.free(&mut dev).unwrap();
+        ws.free(&mut dev).unwrap();
     }
 }

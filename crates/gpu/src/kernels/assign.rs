@@ -94,66 +94,6 @@ pub fn assign_kernel(
     });
 }
 
-/// Re-assigns only the `t_len` points listed in `todo`, leaving every other
-/// label untouched — the streaming seeded-assignment path: after an append
-/// the surviving points keep their memoized labels and only new points scan
-/// the medoids. One thread per listed point; each thread walks all `k`
-/// medoids in ascending order keeping a strict-`<` running minimum, so
-/// exact-distance ties go to the lowest medoid index — the same rule as
-/// [`assign_kernel`] and the CPU assignment, making a seeded pass bitwise
-/// equal to a full one.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_subset_kernel(
-    dev: &mut Device,
-    data: &DeviceBuffer<f32>,
-    d: usize,
-    medoid_data_idx: &[usize],
-    dims_flat: &DeviceBuffer<u32>,
-    dims_offsets: &[usize],
-    todo: &DeviceBuffer<u32>,
-    t_len: usize,
-    labels: &DeviceBuffer<i32>,
-) {
-    if t_len == 0 {
-        return;
-    }
-    let k = medoid_data_idx.len();
-    let grid = Dim3::blocks_for(t_len, ASSIGN_BLOCK);
-    let data = data.clone();
-    let dims_flat = dims_flat.clone();
-    let todo = todo.clone();
-    let labels = labels.clone();
-    let medoids = medoid_data_idx.to_vec();
-    let offsets = dims_offsets.to_vec();
-    dev.launch("assign.subset", grid, Dim3::x(ASSIGN_BLOCK), move |blk| {
-        blk.threads(|t| {
-            let i = t.global_id_x();
-            if i < t_len {
-                let p = todo.ld(t, i) as usize;
-                let mut best = f64::INFINITY;
-                let mut best_i = 0i32;
-                for ci in 0..k {
-                    let (lo, hi) = (offsets[ci], offsets[ci + 1]);
-                    let mut acc = 0.0f64;
-                    for s in lo..hi {
-                        let j = dims_flat.ld(t, s) as usize;
-                        let a = data.ld(t, p * d + j);
-                        let b = data.ld(t, medoids[ci] * d + j);
-                        acc += ((a - b) as f64).abs();
-                    }
-                    let dist = acc / (hi - lo) as f64;
-                    t.flops(2 * (hi - lo) as u64 + 1);
-                    if dist < best {
-                        best = dist;
-                        best_i = ci as i32;
-                    }
-                }
-                labels.st(t, p, best_i);
-            }
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,45 +147,6 @@ mod tests {
             }
         }
         assert_eq!(total, n, "every point lands in exactly one cluster");
-    }
-
-    #[test]
-    fn seeded_subset_matches_full_assignment() {
-        let n = 503;
-        let rows: Vec<Vec<f32>> = (0..n)
-            .map(|i| vec![(i % 17) as f32, (i % 5) as f32 * 0.9, (i % 11) as f32])
-            .collect();
-        let host = DataMatrix::from_rows(&rows).unwrap();
-        let medoids = vec![2usize, 250, 499];
-        let subspaces = vec![vec![0, 2], vec![1], vec![0, 1, 2]];
-        let want = assign_points(&host, &medoids, &subspaces, &Executor::Sequential);
-
-        let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
-        dev.set_deterministic(true);
-        let data = dev.htod("data", host.flat()).unwrap();
-        let (dims_flat, offsets) = upload_dims(&mut dev, &subspaces);
-        // Seed even positions from the full pass, poison the odd ones and
-        // let the subset kernel recompute them.
-        let seeded: Vec<i32> = want
-            .iter()
-            .enumerate()
-            .map(|(p, &l)| if p % 2 == 0 { l } else { -2 })
-            .collect();
-        let labels = dev.htod("labels", &seeded).unwrap();
-        let todo_host: Vec<u32> = (0..n as u32).filter(|p| p % 2 == 1).collect();
-        let todo = dev.htod("todo", &todo_host).unwrap();
-        assign_subset_kernel(
-            &mut dev,
-            &data,
-            3,
-            &medoids,
-            &dims_flat,
-            &offsets,
-            &todo,
-            todo_host.len(),
-            &labels,
-        );
-        assert_eq!(labels.peek_all(), want);
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! simulated devices, medoids broadcast, per-phase partials reduced at the
 //! phase barriers of the shared driver.
 //!
-//! Layout: the dataset is split into `D` contiguous shards (empty shards
-//! for `D > n` are dropped at construction). Each shard device holds its
-//! own rows plus an **annex** — a broadcast copy of every potential-medoid
-//! row, appended after the shard rows in the same device buffer. Kernels
-//! address medoids by their annex row index, so every single-device kernel
-//! (`dist_row`, `build_lists`, `h_update`, `assign`, outlier removal) runs
-//! unchanged on shard-local data even when the medoid lives on another
-//! shard. The per-shard `Dist`/`H` caches are keyed by annex slot, which is
-//! stable for the lifetime of the backend, so the FAST reuse behavior of
-//! §3.1/§4.2 is hit-for-hit identical to the single-device backend.
+//! Layout: the dataset is split into `min(D, n)` contiguous shards (more
+//! devices than points build one shard per point). Each shard device
+//! holds its own rows plus an **annex** — a broadcast copy of every
+//! potential-medoid row, appended after the shard rows in the same device
+//! buffer. Kernels address medoids by their annex row index, so every
+//! single-device kernel (`dist_row`, `build_lists`, `h_update`, `assign`,
+//! outlier removal) runs unchanged on shard-local data even when the
+//! medoid lives on another shard. The per-shard `Dist`/`H` caches are
+//! keyed by annex slot, which is stable for the lifetime of the backend,
+//! so the FAST reuse behavior of §3.1/§4.2 is hit-for-hit identical to
+//! the single-device backend.
 //!
 //! Per phase, each [`Backend`] primitive is one bulk-synchronous step: the
 //! shards run the phase kernels on their own rows, then the host reduces
@@ -40,9 +41,9 @@ use proclus::phases::initialization::greedy_select;
 use proclus::{CancelToken, DataMatrix, ProclusError, ProclusRng};
 use proclus_telemetry::{attrs, counters, Recorder};
 
-use crate::backend::{check_kernel_limits, GpuVariant};
+use crate::backend::{check_kernel_limits, flat_dims, GpuVariant};
 use crate::error::Result;
-use crate::kernels::assign::{assign_kernel, assign_subset_kernel};
+use crate::kernels::assign::assign_kernel;
 use crate::kernels::dist::dist_subset_kernel;
 use crate::kernels::evaluate::{centroid_partial_kernel, cost_partial_kernel};
 use crate::kernels::find_dims::{h_update_kernel, x_from_h_kernel, x_from_lists_partial_kernel};
@@ -131,7 +132,8 @@ pub struct ShardedBackend<'a> {
     next_annex: usize,
     /// Host-reduced `X` of the latest ComputeL step (`k × d`).
     x: Vec<f64>,
-    /// Subspace offsets of the latest FindDimensions step.
+    /// The subspaces in every shard's `dims_flat`, and their offsets.
+    dims: Vec<Vec<usize>>,
     offsets: Vec<usize>,
     /// The ensemble clock: max-per-shard phase deltas + reduction costs.
     sim_us: f64,
@@ -144,8 +146,9 @@ impl<'a> ShardedBackend<'a> {
     /// Partitions `data` across `devices` fresh deterministic devices built
     /// from `cfg`. `k_cap` sizes the per-cluster buffers (the largest `k`
     /// of a grid); `annex_cap` sizes the medoid annex (the sample size —
-    /// every greedy pick comes from the sample). Empty shards (`devices >
-    /// n`) are dropped, so degenerate device counts degrade gracefully.
+    /// every greedy pick comes from the sample). More devices than points
+    /// build one single-point shard per point, the partition `n` devices
+    /// build, so degenerate device counts degrade gracefully.
     pub fn new(
         cfg: &DeviceConfig,
         data: &'a DataMatrix,
@@ -155,16 +158,15 @@ impl<'a> ShardedBackend<'a> {
         variant: GpuVariant,
     ) -> Result<Self> {
         let (n, d) = (data.n(), data.d());
-        let d_count = devices.max(1);
+        // Devices past the n-th would hold no points: never visit them, so
+        // a device count from outside costs at most n iterations.
+        let d_count = devices.min(n).max(1);
         let base = n / d_count;
         let rem = n % d_count;
         let mut shards = Vec::new();
         let mut start = 0usize;
         for i in 0..d_count {
             let n_local = base + usize::from(i < rem);
-            if n_local == 0 {
-                continue; // more devices than points: drop the empty shard
-            }
             let mut dev = Device::new(cfg.clone());
             dev.set_deterministic(true);
             let data_buf = dev.alloc_zeroed::<f32>("shard.data", (n_local + annex_cap) * d)?;
@@ -208,6 +210,7 @@ impl<'a> ShardedBackend<'a> {
             annex_of: HashMap::new(),
             next_annex: 0,
             x: Vec::new(),
+            dims: Vec::new(),
             offsets: Vec::new(),
             sim_us: 0.0,
             cancel: CancelToken::default(),
@@ -293,6 +296,18 @@ impl<'a> ShardedBackend<'a> {
             shard.dev.upload(&annex, &flat);
         }
         Ok(())
+    }
+
+    /// Uploads `dims` to every shard and keeps their host copy; returns
+    /// the number of entries broadcast.
+    fn upload_dims(&mut self, dims: &[Vec<usize>]) -> usize {
+        let (flat, offsets) = flat_dims(dims);
+        for shard in &mut self.shards {
+            shard.dev.upload(&shard.dims_flat, &flat);
+        }
+        self.dims = dims.to_vec();
+        self.offsets = offsets;
+        flat.len()
     }
 
     /// One `shard:<i>` summary span per device: simulated busy time and
@@ -561,33 +576,32 @@ impl Backend for ShardedBackend<'_> {
         // reads back); the chosen subspaces are then broadcast.
         let d = self.data.d();
         let dims = find_dimensions(&self.x[..k * d], k, d, l);
-        let mut flat = Vec::new();
-        let mut offsets = vec![0usize];
-        for s in &dims {
-            flat.extend(s.iter().map(|&j| j as u32));
-            offsets.push(flat.len());
-        }
         let starts = self.begin_step();
-        for shard in &mut self.shards {
-            shard.dev.upload(&shard.dims_flat, &flat);
-        }
-        self.end_step(&starts, flat.len());
-        self.offsets = offsets;
+        let sent = self.upload_dims(&dims);
+        self.end_step(&starts, sent);
         Ok(dims)
     }
 
     fn assign(
         &mut self,
         medoids: &[usize],
-        _dims: &[Vec<usize>],
+        dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> proclus::Result<Vec<usize>> {
         let d = self.data.d();
         let k = medoids.len();
         let cancel = self.cancel.clone();
-        let slots = self.annex_slots(medoids)?;
         let mut global = vec![0usize; k];
         let starts = self.begin_step();
+        // Both are no-ops on the batch path: its medoids were broadcast
+        // by `greedy`, its subspaces by `find_dims`.
+        self.broadcast_medoids(medoids)?;
+        let slots = self.annex_slots(medoids)?;
+        let sent = if self.dims != dims {
+            self.upload_dims(dims)
+        } else {
+            0
+        };
         for shard in &mut self.shards {
             cancel.check()?;
             let n_l = shard.n_local;
@@ -616,7 +630,7 @@ impl Backend for ShardedBackend<'_> {
             }
             shard.sizes = sizes;
         }
-        self.end_step(&starts, k);
+        self.end_step(&starts, k + sent);
         Ok(global)
     }
 
@@ -677,96 +691,6 @@ impl Backend for ShardedBackend<'_> {
         }
         self.end_step(&starts, points.len());
         Ok(out)
-    }
-
-    fn assign_seeded(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-        seed_labels: &[i32],
-        todo: &[usize],
-        _rec: &dyn Recorder,
-    ) -> proclus::Result<Vec<usize>> {
-        let n = self.data.n();
-        if seed_labels.len() != n {
-            return Err(ProclusError::InvalidData {
-                reason: format!(
-                    "assign_seeded: {} seed labels for {n} points",
-                    seed_labels.len()
-                ),
-            });
-        }
-        let d = self.data.d();
-        let k = medoids.len();
-        let cancel = self.cancel.clone();
-        self.broadcast_medoids(medoids)?;
-        let slots = self.annex_slots(medoids)?;
-        // Host-picked subspaces are scattered here instead of `find_dims`.
-        let mut flat = Vec::new();
-        let mut offsets = vec![0usize];
-        for s in dims {
-            flat.extend(s.iter().map(|&j| j as u32));
-            offsets.push(flat.len());
-        }
-        let starts = self.begin_step();
-        let mut global = vec![0usize; k];
-        let mut shard_lo = 0usize;
-        for shard in &mut self.shards {
-            cancel.check()?;
-            let n_l = shard.n_local;
-            let lo = shard_lo;
-            let hi = lo + n_l;
-            shard_lo = hi;
-            shard.dev.upload(&shard.dims_flat, &flat);
-            shard.dev.upload(&shard.labels, &seed_labels[lo..hi]);
-            let local_todo: Vec<u32> = todo
-                .iter()
-                .filter(|&&p| p >= lo && p < hi)
-                .map(|&p| (p - lo) as u32)
-                .collect();
-            if !local_todo.is_empty() {
-                let m_dev: Vec<usize> = slots.iter().map(|&s| n_l + s).collect();
-                let todo_buf = shard
-                    .dev
-                    .htod("stream.assign_todo", &local_todo)
-                    .map_err(dev_err)?;
-                assign_subset_kernel(
-                    &mut shard.dev,
-                    &shard.data,
-                    d,
-                    &m_dev,
-                    &shard.dims_flat,
-                    &offsets,
-                    &todo_buf,
-                    local_todo.len(),
-                    &shard.labels,
-                );
-                shard.dev.free(&todo_buf).map_err(dev_err)?;
-            }
-            // Rebuild the member lists so evaluate sees a partition
-            // consistent with the seeded labels.
-            lists_from_labels_kernel(
-                &mut shard.dev,
-                &shard.labels,
-                n_l,
-                &shard.c_list,
-                &shard.c_count,
-            );
-            let mut sizes: Vec<usize> = shard
-                .dev
-                .dtoh(&shard.c_count)
-                .iter()
-                .map(|&c| c as usize)
-                .collect();
-            sizes.truncate(k);
-            for (g, &s) in global.iter_mut().zip(&sizes) {
-                *g += s;
-            }
-            shard.sizes = sizes;
-        }
-        self.offsets = offsets;
-        self.end_step(&starts, k);
-        Ok(global)
     }
 
     fn labels(&mut self) -> proclus::Result<Vec<i32>> {
@@ -986,5 +910,109 @@ impl BackendHost for ShardedHost<'_> {
         self.dev.advance_clock_us(backend.sim_us);
         backend.free()?;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::num::NonZeroUsize;
+
+    use proclus::par::Executor;
+    use proclus::phases::assign::assign_points;
+    use proclus::{Algo, Config};
+    use proclus_telemetry::NullRecorder;
+
+    use super::*;
+    use crate::backend::tests::{blobs, given};
+
+    /// `assign` labels under the subspaces it is handed, on a fresh
+    /// ensemble (whose shards hold no medoid rows yet) and after
+    /// `find_dims` uploaded other ones. Under the subspaces `find_dims`
+    /// returned, each shard's only transfer is its sizes readback.
+    #[test]
+    fn assign_labels_under_the_given_subspaces() {
+        let data = blobs();
+        let (medoids, dims, want) = given(&data);
+        let (k, rec) = (medoids.len(), &NullRecorder);
+        let cfg = DeviceConfig::gtx_1660_ti();
+        let mut b = ShardedBackend::new(&cfg, &data, 3, k, 40, GpuVariant::Fast).unwrap();
+        b.assign(&medoids, &dims, rec).unwrap();
+        assert_eq!(b.labels().unwrap(), want, "fresh backend");
+
+        b.compute_x(&medoids, &[0, 1, 2, 3], rec).unwrap();
+        let found = b.find_dims(k, 3, rec).unwrap();
+        let under_found = assign_points(&data, &medoids, &found, &Executor::Sequential);
+        assert_ne!(under_found, want, "the two subspace sets label apart");
+        b.assign(&medoids, &dims, rec).unwrap();
+        assert_eq!(b.labels().unwrap(), want, "after find_dims");
+
+        b.find_dims(k, 3, rec).unwrap();
+        let transfers = |b: &ShardedBackend<'_>| -> Vec<f64> {
+            b.shards
+                .iter()
+                .map(|s| s.dev.report().transfer_us)
+                .collect()
+        };
+        let t0 = transfers(&b);
+        b.assign(&medoids, &found, rec).unwrap();
+        let t1 = transfers(&b);
+        for (i, shard) in b.shards.iter_mut().enumerate() {
+            shard.dev.dtoh(&shard.c_count);
+            let readback = shard.dev.report().transfer_us - t1[i];
+            let spent = t1[i] - t0[i];
+            assert!(
+                (spent - readback).abs() < 1e-9,
+                "shard {i}: {spent} vs {readback}"
+            );
+        }
+        assert_eq!(b.labels().unwrap(), under_found);
+        b.free().unwrap();
+    }
+
+    /// A device count past `n`, up to `usize::MAX`, builds one shard per
+    /// point, and a run on it equals a run on `n` devices bit for bit and
+    /// clock for clock.
+    #[test]
+    fn device_counts_past_n_build_one_shard_per_point() {
+        let rows: Vec<Vec<f32>> = (0..24)
+            .map(|i| {
+                let c = (i % 4) as f32 * 9.0;
+                vec![
+                    c + (i % 5) as f32 * 0.1,
+                    (i % 3) as f32,
+                    (i * 7 % 11) as f32,
+                ]
+            })
+            .collect();
+        let data = DataMatrix::from_rows(&rows).unwrap();
+        let n = data.n();
+        let cfg = DeviceConfig::gtx_1660_ti();
+        let b = ShardedBackend::new(&cfg, &data, usize::MAX, 2, 12, GpuVariant::Fast).unwrap();
+        assert_eq!(b.shard_count(), n);
+        b.free().unwrap();
+
+        let run = |devices: usize| {
+            let devices = NonZeroUsize::new(devices).unwrap();
+            let params = Params::new(2, 2)
+                .with_a(6)
+                .with_b(3)
+                .with_seed(5)
+                .with_devices(devices);
+            let config = Config::new(params)
+                .with_algo(Algo::Fast)
+                .with_backend(proclus::Backend::Sharded);
+            let mut dev = Device::new(cfg.clone());
+            dev.set_deterministic(true);
+            let out = crate::run_on(&mut dev, &data, &config).unwrap();
+            (
+                out.clusterings.into_iter().next().unwrap(),
+                dev.elapsed_us(),
+            )
+        };
+        let ((at_n, clock_at_n), (past_n, clock_past_n)) = (run(n), run(n + 5));
+        assert_eq!(past_n, at_n);
+        assert_eq!(past_n.cost.to_bits(), at_n.cost.to_bits());
+        assert_eq!(past_n.refined_cost.to_bits(), at_n.refined_cost.to_bits());
+        assert_eq!(clock_past_n.to_bits(), clock_at_n.to_bits());
     }
 }

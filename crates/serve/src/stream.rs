@@ -9,6 +9,10 @@
 //! (re-)registered **pinned** in the dataset registry, so byte-pressure
 //! eviction from concurrent batch jobs can never drop a dataset that has
 //! an open streaming session; `stream.close` unpins it.
+//!
+//! A re-clustering `stream.result` carries the epoch's
+//! [`ReclusterReport`] counts: `segmental` is `n·k` per AssignPoints call
+//! and per outlier removal, as in a batch run.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

@@ -1,23 +1,22 @@
-//! Cross-epoch caches: per-medoid distance rows and memoized assignments.
+//! The cross-epoch cache: per-medoid distance rows.
 //!
 //! The only values this crate carries across re-clusterings are *per-point
-//! euclidean distances* (one f32 per (medoid, point) pair) and *labels* —
-//! both pure functions of individual points, never running sums. Sums
-//! (`H`, `X`, cost) are folded fresh each epoch from the cached rows in
-//! canonical position order, so an incremental re-clustering and a
-//! from-scratch one execute bit-identical arithmetic; the caches only
-//! change *which distances are recomputed*, not any float's value. That is
-//! the exactness argument of DESIGN.md §13.
+//! euclidean distances* (one f32 per (medoid, point) pair) — pure
+//! functions of individual points, never running sums. Sums (`H`, `X`,
+//! cost) are folded fresh each epoch from the cached rows in canonical
+//! position order, so an incremental re-clustering and a from-scratch one
+//! execute bit-identical arithmetic; the cache only changes *which
+//! distances are recomputed*, not any float's value. That is the exactness
+//! argument of DESIGN.md §13.
 //!
-//! Both caches are indexed by position and anchored to one pid-by-position
+//! The rows are indexed by position and anchored to one pid-by-position
 //! array, held by the [`RowStore`]. At the start of each epoch
 //! [`RowStore::reconcile`] compares that array with the dataset's current
 //! one in a single O(n) scan, resolves only the positions that differ into
-//! a [`ColumnChanges`] list, and patches every cached row in place in
-//! O(churn); [`AssignMemo::reanchor`] applies the same list to every
-//! memoized label set. Columns of appended points become NaN holes in the
-//! rows — filled lazily, paying `O(batch)` distances per *used* row
-//! instead of `O(n)` per medoid — and [`UNKNOWN`] slots in the memo.
+//! a change list, and patches every cached row in place in O(churn).
+//! Columns of appended points become NaN holes in the rows — filled
+//! lazily, paying `O(batch)` distances per *used* row instead of `O(n)`
+//! per medoid.
 //!
 //! Each row also lists its holes, kept current by the same patch in
 //! O(pending + churn), so filling a row costs O(holes): the fill touches
@@ -26,15 +25,15 @@
 
 use std::collections::HashMap;
 
-/// How one epoch's positions map onto the next: the change list both
-/// caches apply at epoch start.
+/// How one epoch's positions map onto the next: the change list every
+/// cached row applies at epoch start.
 ///
 /// Built from one scan of the stored pid-by-position array against the
 /// current one. A pid at an unchanged position is live and did not move,
 /// so every moved pid came from a changed position and every retired pid
 /// sat at one: only the pids at differing positions are hashed.
 #[derive(Debug, Default)]
-pub struct ColumnChanges {
+struct ColumnChanges {
     /// Position count after the change.
     n: usize,
     /// `(new position, old position)` of every surviving pid that moved.
@@ -127,8 +126,7 @@ struct RowEntry {
 /// Per-medoid distance rows carried across re-clusterings.
 pub struct RowStore {
     rows: HashMap<u64, RowEntry>,
-    /// pid of the point each column currently refers to; the anchor of
-    /// the [`AssignMemo`] label slots too.
+    /// pid of the point each column currently refers to.
     cache_pids: Vec<u64>,
     epoch: u64,
     /// Rows untouched for this many epochs are dropped at reconcile.
@@ -174,10 +172,8 @@ impl RowStore {
     /// Starts an epoch: re-anchors the store from its stored pid order to
     /// `pids_now`. Rows of retired medoids and rows idle past the
     /// retention horizon are dropped; every surviving row is patched in
-    /// place, with listed NaN holes for new pids. Returns the change list,
-    /// which the [`AssignMemo`] must apply too.
-    #[must_use = "the AssignMemo must be re-anchored with the same change list"]
-    pub fn reconcile(&mut self, pids_now: &[u64]) -> ColumnChanges {
+    /// place, with listed NaN holes for new pids.
+    pub fn reconcile(&mut self, pids_now: &[u64]) {
         self.epoch += 1;
         let (epoch, idle) = (self.epoch, self.max_idle_epochs);
         let changes = ColumnChanges::between(&self.cache_pids, pids_now);
@@ -191,7 +187,6 @@ impl RowStore {
         }
         self.cache_pids.clear();
         self.cache_pids.extend_from_slice(pids_now);
-        changes
     }
 
     /// Completes medoid `pid`'s cached row by filling exactly its listed
@@ -262,78 +257,6 @@ impl Default for RowStore {
     }
 }
 
-/// Label-slot value of a point a memoized assignment has not seen.
-pub const UNKNOWN: i32 = i32::MIN;
-
-/// Memoized assignments keyed by the exact decision inputs: the medoid
-/// pids in slot order plus the chosen subspaces. Labels are a pure
-/// per-point function of those inputs, so a hit seeds every surviving
-/// point's label and only new points rescan the medoids. Each label set
-/// is indexed by position and re-anchored with the [`RowStore`]'s
-/// [`ColumnChanges`] at epoch start.
-pub struct AssignMemo {
-    entries: Vec<(MemoKey, Vec<i32>)>,
-    cap: usize,
-}
-
-type MemoKey = (Vec<u64>, Vec<Vec<usize>>);
-
-impl AssignMemo {
-    /// A memo holding at most `cap` label sets (LRU).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Drops every memoized assignment.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of memoized assignments.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Moves every label set onto the current positions: labels follow
-    /// their pid, retired pids' labels go, new pids read [`UNKNOWN`].
-    pub fn reanchor(&mut self, changes: &ColumnChanges) {
-        for (_, labels) in &mut self.entries {
-            changes.apply(labels, UNKNOWN);
-        }
-    }
-
-    /// Looks up the labels by position for `(medoid pids, dims)`,
-    /// refreshing recency.
-    pub fn lookup(&mut self, medoid_pids: &[u64], dims: &[Vec<usize>]) -> Option<&[i32]> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|(key, _)| key.0 == medoid_pids && key.1 == dims)?;
-        let entry = self.entries.remove(idx);
-        self.entries.push(entry);
-        self.entries.last().map(|(_, labels)| labels.as_slice())
-    }
-
-    /// Stores the labels by position for `(medoid pids, dims)`, evicting
-    /// the least recently used entry beyond capacity.
-    pub fn insert(&mut self, medoid_pids: Vec<u64>, dims: Vec<Vec<usize>>, labels: Vec<i32>) {
-        self.entries
-            .retain(|(key, _)| !(key.0 == medoid_pids && key.1 == dims));
-        self.entries.push(((medoid_pids, dims), labels));
-        if self.entries.len() > self.cap {
-            self.entries.remove(0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::{HashMap, HashSet};
@@ -346,7 +269,7 @@ mod tests {
     #[test]
     fn reconcile_permutes_and_punches_holes() {
         let mut store = RowStore::new();
-        let _ = store.reconcile(&[10, 11, 12]);
+        store.reconcile(&[10, 11, 12]);
         let nothing = store.fill_holes(10, |_| Err("computed for an uncached row"));
         assert!(matches!(nothing, Ok(None)));
         let fill = store.insert_row(10, vec![0.0, 1.0, 2.0]);
@@ -354,9 +277,10 @@ mod tests {
         assert_eq!(fill.computed, 3);
 
         // Point 11 retires (12 swaps into its slot), 13 appends.
-        let changes = store.reconcile(&[10, 12, 13]);
+        let changes = ColumnChanges::between(&[10, 11, 12], &[10, 12, 13]);
         assert_eq!(changes.moved, vec![(1, 2)]);
         assert_eq!(changes.retired, vec![11]);
+        store.reconcile(&[10, 12, 13]);
         let fill = store
             .fill_holes::<()>(10, |pos| {
                 assert_eq!(pos, &[2], "only the appended column is computed");
@@ -382,40 +306,24 @@ mod tests {
     #[test]
     fn retired_medoid_rows_are_dropped() {
         let mut store = RowStore::new();
-        let _ = store.reconcile(&[1, 2]);
+        store.reconcile(&[1, 2]);
         store.insert_row(1, vec![0.5; 2]);
         assert_eq!(store.len(), 1);
-        let _ = store.reconcile(&[2]);
+        store.reconcile(&[2]);
         assert!(store.is_empty(), "row of retired pid 1 survives");
     }
 
     #[test]
     fn idle_rows_expire_after_the_retention_horizon() {
         let mut store = RowStore::new();
-        let _ = store.reconcile(&[1, 2]);
+        store.reconcile(&[1, 2]);
         store.insert_row(1, vec![0.5; 2]);
         for _ in 0..3 {
-            let _ = store.reconcile(&[1, 2]);
+            store.reconcile(&[1, 2]);
             assert_eq!(store.len(), 1);
         }
-        let _ = store.reconcile(&[1, 2]);
+        store.reconcile(&[1, 2]);
         assert!(store.is_empty(), "idle row outlived the horizon");
-    }
-
-    #[test]
-    fn memo_is_keyed_by_medoids_and_dims_with_lru_eviction() {
-        let mut memo = AssignMemo::new(2);
-        memo.insert(vec![1], vec![vec![0]], vec![1]);
-        memo.insert(vec![2], vec![vec![0]], vec![2]);
-        assert!(
-            memo.lookup(&[1], &[vec![1]]).is_none(),
-            "dims are part of the key"
-        );
-        assert_eq!(memo.lookup(&[1], &[vec![0]]).unwrap(), &[1]);
-        // 1 is now most recent; inserting a third evicts 2.
-        memo.insert(vec![3], vec![vec![0]], vec![3]);
-        assert!(memo.lookup(&[2], &[vec![0]]).is_none());
-        assert_eq!(memo.lookup(&[1], &[vec![0]]).unwrap(), &[1]);
     }
 
     /// The cached distance of row `r` to point `pid` (exact in f32).
@@ -423,29 +331,15 @@ mod tests {
         (r * 1000 + pid) as f32
     }
 
-    /// The memoized label of point `pid` under memo key `key`.
-    fn label_of(key: u64, pid: u64) -> i32 {
-        ((key * 31 + pid) % 7) as i32
-    }
-
-    /// What the caches should hold, tracked by pid alone.
-    #[derive(Default)]
-    struct Model {
-        /// Row pid → (pids whose distance it holds, epoch last used).
-        rows: HashMap<u64, (HashSet<u64>, u64)>,
-        /// Memo key → pids whose label it holds.
-        memo: HashMap<u64, HashSet<u64>>,
-    }
-
     /// Seeded scripts of appends, retires of middle and last positions,
     /// window evictions and a shrinking window, reconciling after every
-    /// step: each row column and memo slot holds its current pid's value
-    /// (or a hole / `UNKNOWN` for a pid the entry never saw), each row's
-    /// hole list is exactly its NaN positions, rows of retired pids are
-    /// gone, and idle rows expire after three epochs. Rows are filled
-    /// again after idling 0, 1 and 2 epochs, some after their holes moved
-    /// or were evicted; every fill computes exactly the row's NaN count
-    /// and leaves the row bitwise-equal to a fresh fill.
+    /// step: each row column holds its current pid's distance (or a hole
+    /// for a pid the row never saw), each row's hole list is exactly its
+    /// NaN positions, rows of retired pids are gone, and idle rows expire
+    /// after three epochs. Rows are filled again after idling 0, 1 and 2
+    /// epochs, some after their holes moved or were evicted; every fill
+    /// computes exactly the row's NaN count and leaves the row
+    /// bitwise-equal to a fresh fill.
     #[test]
     fn seeded_scripts_reanchor_rows_and_memo_by_pid() {
         // Fills of rows with holes by idle epochs, and holes that moved or
@@ -459,8 +353,9 @@ mod tests {
                 ds.append(&[0.0]).unwrap();
             }
             let mut store = RowStore::new();
-            let mut memo = AssignMemo::new(4);
-            let mut model = Model::default();
+            // What the store should hold, tracked by pid alone: row pid →
+            // (pids whose distance it holds, epoch last used).
+            let mut model: HashMap<u64, (HashSet<u64>, u64)> = HashMap::new();
             let mut epoch = 0u64;
             for step in 0..60 {
                 let before = ds.pids().to_vec();
@@ -495,7 +390,7 @@ mod tests {
                         }
                     }
                 }
-                for (seen, _) in model.rows.values() {
+                for (seen, _) in model.values() {
                     for (q, pid) in before.iter().enumerate() {
                         match ds.pos_of(*pid) {
                             _ if seen.contains(pid) => {}
@@ -508,16 +403,12 @@ mod tests {
                 let pids = ds.pids().to_vec();
                 let live: HashSet<u64> = pids.iter().copied().collect();
                 epoch += 1;
-                let changes = store.reconcile(&pids);
-                memo.reanchor(&changes);
-                model
-                    .rows
-                    .retain(|r, (_, used)| live.contains(r) && epoch - *used <= 3);
-                model.memo.retain(|key, _| memo_has(&mut memo, *key));
+                store.reconcile(&pids);
+                model.retain(|r, (_, used)| live.contains(r) && epoch - *used <= 3);
 
                 let what = format!("seed {seed} step {step}");
-                assert_eq!(store.len(), model.rows.len(), "{what}: row count");
-                for (&r, (seen, _)) in &model.rows {
+                assert_eq!(store.len(), model.len(), "{what}: row count");
+                for (&r, (seen, _)) in &model {
                     let RowEntry { dist, holes, .. } = &store.rows[&r];
                     assert_eq!(dist.len(), pids.len(), "{what}: row {r} length");
                     for (q, &pid) in pids.iter().enumerate() {
@@ -530,23 +421,10 @@ mod tests {
                     let nan: Vec<usize> = (0..dist.len()).filter(|&q| dist[q].is_nan()).collect();
                     assert_eq!(holes, &nan, "{what}: row {r} hole list");
                 }
-                for (&key, seen) in &model.memo {
-                    let labels = memo.lookup(&[key], &[]).unwrap();
-                    assert_eq!(labels.len(), pids.len(), "{what}: memo {key} length");
-                    for (q, &pid) in pids.iter().enumerate() {
-                        let want = if seen.contains(&pid) {
-                            label_of(key, pid)
-                        } else {
-                            UNKNOWN
-                        };
-                        assert_eq!(labels[q], want, "{what}: memo {key} slot {q}");
-                    }
-                }
-
-                // Use a few rows this epoch, cached ones half the time,
-                // and memoize a label set; the rest idle toward expiry.
+                // Use a few rows this epoch, cached ones half the time;
+                // the rest idle toward expiry.
                 for _ in 0..rng.next_u64() % 3 {
-                    let mut cached: Vec<u64> = model.rows.keys().copied().collect();
+                    let mut cached: Vec<u64> = model.keys().copied().collect();
                     cached.sort_unstable();
                     let r = if !cached.is_empty() && rng.next_u64() & 1 == 0 {
                         cached[rng.next_u64() as usize % cached.len()]
@@ -574,16 +452,10 @@ mod tests {
                     let fresh = pids.iter().map(|&pid| dist_of(r, pid).to_bits());
                     let row = store.row(r).unwrap().iter().map(|v| v.to_bits());
                     assert!(row.eq(fresh), "{what}: row {r} differs from a fresh fill");
-                    if let (Some(1..), Some(&(_, used))) = (nan, model.rows.get(&r)) {
+                    if let (Some(1..), Some(&(_, used))) = (nan, model.get(&r)) {
                         refilled_after_idle[(epoch - used - 1) as usize] += 1;
                     }
-                    model.rows.insert(r, (live.clone(), epoch));
-                }
-                if rng.next_u64() & 1 == 0 {
-                    let key = rng.next_u64() % 6;
-                    let labels = pids.iter().map(|&pid| label_of(key, pid)).collect();
-                    memo.insert(vec![key], Vec::new(), labels);
-                    model.memo.insert(key, live.clone());
+                    model.insert(r, (live.clone(), epoch));
                 }
             }
         }
@@ -595,10 +467,5 @@ mod tests {
             holes_moved > 0 && holes_evicted > 0,
             "{holes_moved} moved, {holes_evicted} evicted"
         );
-    }
-
-    /// True when `memo` still holds an entry for `key` (LRU may evict).
-    fn memo_has(memo: &mut AssignMemo, key: u64) -> bool {
-        memo.entries.iter().any(|(k, _)| k.0 == [key])
     }
 }

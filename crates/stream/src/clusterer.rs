@@ -1,13 +1,13 @@
 //! [`StreamingClusterer`]: the live-dataset front door of this crate.
 //!
-//! Owns a [`StreamDataset`], the cross-epoch caches, and the last
+//! Owns a [`StreamDataset`], the cross-epoch row cache, and the last
 //! converged state. Mutations (`append` / `retire` / `set_window`) are
 //! O(batch); [`StreamingClusterer::recluster`] replays the full PROCLUS
-//! decision loop against the caches and returns a result bitwise equal to
-//! a from-scratch run over the same live points — the caches only shrink
+//! decision loop against the row cache and returns a result bitwise equal
+//! to a from-scratch run over the same live points — the cache only shrinks
 //! the number of distances recomputed. When accumulated churn exceeds the
 //! staleness threshold (or no converged state exists yet) the epoch
-//! escalates to a cold pass: caches are dropped and rebuilt, costing full
+//! escalates to a cold pass: the cache is dropped and rebuilt, costing full
 //! price but changing nothing about the result.
 //!
 //! [`StreamingClusterer::recluster_warm`] is the documented *approximate*
@@ -24,9 +24,9 @@ use proclus_gpu::workspace::Workspace;
 use proclus_gpu::{GpuBackend, GpuVariant, ShardedBackend};
 use proclus_telemetry::{span, Recorder};
 
-use crate::cache::{AssignMemo, RowStore};
+use crate::cache::RowStore;
 use crate::dataset::StreamDataset;
-use crate::driver::{assign_stream, reconcile, run_stream_core, Costs};
+use crate::driver::{assign_stream, run_stream_core, Costs};
 
 /// How re-clusterings execute. GPU specs own their simulated device so the
 /// device clock and allocator pool persist across epochs.
@@ -73,9 +73,9 @@ impl StreamBackendSpec {
 /// Which path a re-clustering took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReclusterMode {
-    /// Caches were live: rows patched, assignments seeded.
+    /// The row cache was live: rows patched, holes filled.
     Incremental,
-    /// Cold or escalated: caches dropped and rebuilt at full price.
+    /// Cold or escalated: the row cache dropped and rebuilt at full price.
     Full,
     /// Approximate refresh: frozen medoids/subspaces, assignment only.
     Warm,
@@ -101,7 +101,8 @@ pub struct ReclusterReport {
     pub n: usize,
     /// Full-dimensional euclidean distances computed.
     pub distances: u64,
-    /// Manhattan segmental distances computed.
+    /// Manhattan segmental distances computed: `n·k` per AssignPoints
+    /// call and per outlier removal, as in a batch run.
     pub segmental: u64,
     /// Medoid distance rows served from cache.
     pub dist_cache_hits: u64,
@@ -199,7 +200,6 @@ pub struct StreamingClusterer {
     params: Params,
     spec: StreamBackendSpec,
     store: RowStore,
-    memo: AssignMemo,
     state: Option<StreamState>,
     dirty: bool,
     /// Mutations (appends + retires + evictions) since the last epoch.
@@ -218,7 +218,6 @@ impl StreamingClusterer {
             params,
             spec,
             store: RowStore::new(),
-            memo: AssignMemo::new(8),
             state: None,
             dirty: false,
             churn: 0,
@@ -235,7 +234,6 @@ impl StreamingClusterer {
             params,
             spec,
             store: RowStore::new(),
-            memo: AssignMemo::new(8),
             state: None,
             dirty: true,
             churn: 0,
@@ -306,7 +304,7 @@ impl StreamingClusterer {
     }
 
     /// Re-runs the full decision loop over the live points, incrementally
-    /// where the caches allow. The result is exactly the clustering a
+    /// where the row cache allows. The result is exactly the clustering a
     /// from-scratch run with the same params and seed would produce.
     pub fn recluster(
         &mut self,
@@ -321,7 +319,6 @@ impl StreamingClusterer {
         let stale = self.churn as f64 / n.max(1) as f64 > self.staleness_threshold;
         let mode = if self.state.is_none() || stale {
             self.store.clear();
-            self.memo.clear();
             ReclusterMode::Full
         } else {
             ReclusterMode::Incremental
@@ -329,11 +326,10 @@ impl StreamingClusterer {
 
         let ds = &self.ds;
         let store = &mut self.store;
-        let memo = &mut self.memo;
         let params = &self.params;
         let ((clustering, medoid_pids, costs), sim_us) =
             with_backend(&mut self.spec, &snap, params, cancel, |b| {
-                run_stream_core(ds, store, memo, b, params, rec, cancel)
+                run_stream_core(ds, store, b, params, rec, cancel)
             })?;
 
         self.install_state(&clustering, medoid_pids);
@@ -344,9 +340,9 @@ impl StreamingClusterer {
     }
 
     /// Approximate refresh: keeps the converged medoids and subspaces
-    /// frozen and re-assigns the live points to them, after re-anchoring
-    /// both caches to the current positions. Errors if no state exists or
-    /// a medoid was retired — escalate to [`Self::recluster`].
+    /// frozen and re-assigns the live points to them; the row cache is
+    /// left as it is. Errors if no state exists or a medoid was retired —
+    /// escalate to [`Self::recluster`].
     /// Unlike `recluster`, the result is *not* equal to a from-scratch
     /// run; churn keeps accumulating toward the staleness threshold.
     pub fn recluster_warm(
@@ -369,16 +365,14 @@ impl StreamingClusterer {
         let snap = self.ds.snapshot()?;
         self.params.validate(&snap)?;
 
-        reconcile(&self.ds, &mut self.store, &mut self.memo, rec);
         let ds = &self.ds;
-        let memo = &mut self.memo;
         let params = &self.params;
         let mut costs = Costs::default();
         let ((cost, labels), sim_us) = with_backend(&mut self.spec, &snap, params, cancel, |b| {
             cancel.check()?;
-            let (sizes, labels) = assign_stream(ds, memo, b, &medoid_pids, &dims, &mut costs, rec)?;
+            let sizes = assign_stream(ds, b, &medoid_pids, &dims, &mut costs, rec)?;
             let cost = b.evaluate(&dims, &sizes, rec)?;
-            Ok((cost, labels))
+            Ok((cost, b.labels()?))
         })?;
 
         let labels_by_pid: HashMap<u64, i32> = labels

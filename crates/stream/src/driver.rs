@@ -1,9 +1,9 @@
 //! The streaming re-clustering driver: the medoid-search loop of Alg. 1
-//! executed against the cross-epoch caches of [`crate::cache`].
+//! executed against the cross-epoch row cache of [`crate::cache`].
 //!
 //! Structure mirrors the core driver's `run_core` phase for phase —
 //! iterate (ComputeL → FindDimensions → AssignPoints → EvaluateClusters →
-//! bad-medoid replacement) then refine — with three substitutions that
+//! bad-medoid replacement) then refine — with two substitutions that
 //! exploit the live dataset:
 //!
 //! 1. **ComputeL** folds the epoch-local `H` sums forward from cached
@@ -13,21 +13,22 @@
 //!    points are patched into the row first). A cached row costs only its listed holes; only
 //!    genuinely new medoids pay a full `n`-distance row, all of an
 //!    iteration's in one [`Backend::dist_rows`] call.
-//! 2. **AssignPoints** seeds labels from the assignment memo — labels are
-//!    a pure per-point function of (medoid pids, subspaces), so on a hit
-//!    only new points rescan the medoids ([`Backend::assign_seeded`]).
-//! 3. **Initialization** replaces the seeded random sample and RNG-driven
+//! 2. **Initialization** replaces the seeded random sample and RNG-driven
 //!    first pick with append-stable hashes (see [`crate::dataset`]), so
 //!    the greedy candidates barely move under small delta batches. The
 //!    RNG is consumed only by the medoid draws (`MCur`, replacements),
 //!    whose sequence is therefore identical between an incremental and a
 //!    from-scratch run.
 //!
+//! AssignPoints, EvaluateClusters and outlier removal run through the
+//! backend exactly as `run_core` runs them: one [`Backend::assign`] sweep
+//! labels every point under the host-picked subspaces.
+//!
 //! Every value that feeds a decision — distance rows, `H`, `X`, `Z`,
 //! cost — is either a cached pure per-point value or folded fresh this
 //! epoch in canonical position order, so the driver's output is a pure
 //! function of (live points, params, seed): an incremental re-clustering
-//! is *bitwise equal* to a from-scratch one, and the caches only decide
+//! is *bitwise equal* to a from-scratch one, and the cache only decides
 //! how many distances are recomputed.
 
 use std::collections::HashMap;
@@ -42,7 +43,7 @@ use proclus::result::Clustering;
 use proclus::{CancelToken, ProclusError, ProclusRng, Result};
 use proclus_telemetry::{attrs, counters, span, Recorder};
 
-use crate::cache::{AssignMemo, RowStore, UNKNOWN};
+use crate::cache::RowStore;
 use crate::dataset::{first_pick_priority, StreamDataset};
 
 /// Work accounted by one re-clustering, mirrored into the telemetry
@@ -51,7 +52,8 @@ use crate::dataset::{first_pick_priority, StreamDataset};
 pub struct Costs {
     /// Full-dimensional euclidean distances computed (greedy + row fills).
     pub distances: u64,
-    /// Manhattan segmental distances computed (assignment + outliers).
+    /// Manhattan segmental distances computed: `n·k` per AssignPoints
+    /// call and per outlier removal.
     pub segmental: u64,
     /// Medoid rows served from the cross-epoch cache.
     pub dist_cache_hits: u64,
@@ -279,53 +281,25 @@ fn compute_x_stream<B: Backend + ?Sized>(
     Ok(x)
 }
 
-/// Starts an epoch: re-anchors both caches to the dataset's current
-/// positions with one change list (O(n) pid scan, O(churn) patches).
-pub(crate) fn reconcile(
-    ds: &StreamDataset,
-    store: &mut RowStore,
-    memo: &mut AssignMemo,
-    rec: &dyn Recorder,
-) {
-    let _g = span(rec, "stream.reconcile");
-    let changes = store.reconcile(ds.pids());
-    memo.reanchor(&changes);
-}
-
-/// AssignPoints through the memo: seed surviving labels, rescan only the
-/// rest, then refresh the memo from the complete assignment.
-#[allow(clippy::too_many_arguments)]
+/// AssignPoints through [`Backend::assign`], as the batch driver runs it:
+/// every point against every medoid. Returns the cluster sizes; the labels
+/// stay in the backend.
 pub(crate) fn assign_stream<B: Backend + ?Sized>(
     ds: &StreamDataset,
-    memo: &mut AssignMemo,
     backend: &mut B,
     medoid_pids: &[u64],
     dims: &[Vec<usize>],
     costs: &mut Costs,
     rec: &dyn Recorder,
-) -> Result<(Vec<usize>, Vec<i32>)> {
-    let n = ds.n();
-    let k = medoid_pids.len();
+) -> Result<Vec<usize>> {
     let med_pos: Vec<usize> = medoid_pids
         .iter()
         .map(|&pid| pos_of(ds, pid))
         .collect::<Result<_>>()?;
-    let (seed_labels, todo): (Vec<i32>, Vec<usize>) = match memo.lookup(medoid_pids, dims) {
-        Some(known) => (
-            known
-                .iter()
-                .map(|&l| if l == UNKNOWN { 0 } else { l })
-                .collect(),
-            (0..known.len()).filter(|&q| known[q] == UNKNOWN).collect(),
-        ),
-        None => (vec![0; n], (0..n).collect()),
-    };
-    costs.segmental += (todo.len() * k) as u64;
-    rec.add(counters::SEGMENTAL_DISTANCES, (todo.len() * k) as u64);
-    let sizes = backend.assign_seeded(&med_pos, dims, &seed_labels, &todo, rec)?;
-    let labels = backend.labels()?;
-    memo.insert(medoid_pids.to_vec(), dims.to_vec(), labels.clone());
-    Ok((sizes, labels))
+    let segmental = (ds.n() * medoid_pids.len()) as u64;
+    costs.segmental += segmental;
+    rec.add(counters::SEGMENTAL_DISTANCES, segmental);
+    backend.assign(&med_pos, dims, rec)
 }
 
 /// One full streaming re-clustering epoch: greedy candidates over the
@@ -336,7 +310,6 @@ pub(crate) fn assign_stream<B: Backend + ?Sized>(
 pub(crate) fn run_stream_core<B: Backend + ?Sized>(
     ds: &StreamDataset,
     store: &mut RowStore,
-    memo: &mut AssignMemo,
     backend: &mut B,
     params: &Params,
     rec: &dyn Recorder,
@@ -347,7 +320,10 @@ pub(crate) fn run_stream_core<B: Backend + ?Sized>(
     let d = ds.d();
     let k = params.k;
 
-    reconcile(ds, store, memo, rec);
+    {
+        let _g = span(rec, "stream.reconcile");
+        store.reconcile(ds.pids());
+    }
 
     let mut rng = ProclusRng::new(params.seed);
     let sample = ds.sample(params.sample_size(n));
@@ -393,9 +369,9 @@ pub(crate) fn run_stream_core<B: Backend + ?Sized>(
             let _g = span(rec, "stream.find_dimensions");
             find_dimensions(&x[..k * d], k, d, params.l)
         };
-        let (sizes, labels) = {
+        let sizes = {
             let _g = span(rec, "stream.assign");
-            assign_stream(ds, memo, backend, &medoid_pids, &dims, &mut costs, rec)?
+            assign_stream(ds, backend, &medoid_pids, &dims, &mut costs, rec)?
         };
         let cost = phase(backend, rec, "stream.evaluate", |b| {
             b.evaluate(&dims, &sizes, rec)
@@ -404,14 +380,17 @@ pub(crate) fn run_stream_core<B: Backend + ?Sized>(
         costs.iterations += 1;
         rec.add(counters::ITERATIONS, 1);
 
+        // Label churn: a backend readback only happens when telemetry is
+        // on, as in the batch driver.
         if rec.enabled() {
+            let labels = backend.labels()?;
             let changed = match &prev_labels {
                 None => n as u64,
                 Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
             };
             rec.add(counters::POINTS_REASSIGNED, changed);
+            prev_labels = Some(labels);
         }
-        prev_labels = Some(labels);
 
         if cost < best_cost {
             best_cost = cost;
@@ -456,9 +435,12 @@ pub(crate) fn run_stream_core<B: Backend + ?Sized>(
     let dims = phase(backend, rec, "stream.find_dimensions", |b| {
         b.find_dims(k, params.l, rec)
     })?;
-    let (sizes, _labels) = {
+    // The assign that follows `x_from_best` is the refinement's: the CPU
+    // backend marks the outliers in its sweep and `remove_outliers`
+    // applies the marks (DESIGN.md §12.1).
+    let sizes = {
         let _g = span(rec, "stream.assign");
-        assign_stream(ds, memo, backend, &best_pids, &dims, &mut costs, rec)?
+        assign_stream(ds, backend, &best_pids, &dims, &mut costs, rec)?
     };
     let refined_cost = phase(backend, rec, "stream.evaluate", |b| {
         b.evaluate(&dims, &sizes, rec)

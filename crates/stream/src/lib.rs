@@ -8,27 +8,25 @@
 //! while producing the **exact same result** — same labels, medoids,
 //! subspaces, and costs, bitwise.
 //!
-//! Three mechanisms make that possible (DESIGN.md §13):
+//! Two mechanisms make that possible (DESIGN.md §13):
 //!
 //! - **Delta-patched distance rows** ([`cache::RowStore`]): per-medoid
 //!   euclidean rows are cached across epochs keyed by pid and re-anchored
 //!   to the new position order at epoch start by one column change list —
-//!   an O(n) pid comparison plus an O(churn) in-place patch, shared with
-//!   the assignment memo — and appended points are patched in as
-//!   lazily-filled holes, listed per row so a fill costs O(holes). The
-//!   `H` sums behind the decision matrix `X`
-//!   are folded fresh each epoch from those rows by `ΔL` shells (the
+//!   an O(n) pid comparison plus an O(churn) in-place patch — and appended
+//!   points are patched in as lazily-filled holes, listed per row so a
+//!   fill costs O(holes). The `H` sums behind the decision matrix `X` are
+//!   folded fresh each epoch from those rows by `ΔL` shells (the
 //!   point-delta generalization of the paper's Theorems 3.1/3.2), so no
 //!   accumulated float state ever crosses an epoch.
-//! - **Seeded assignment** ([`cache::AssignMemo`] +
-//!   `Backend::assign_seeded`): labels are a pure per-point function of
-//!   (medoid pids, subspaces), so a memo hit re-scans only new points.
-//!   The memo stores labels by position, re-anchored with the rows' change
-//!   list, so a hit seeds them with one linear copy.
 //! - **Append-stable initialization** ([`dataset::StreamDataset`]):
 //!   priority sampling and a hash-argmin first greedy pick keep the
-//!   candidate set — and with it every downstream cache key — stable under
-//!   small deltas, without consuming RNG draws.
+//!   candidate set — and with it the medoid pids that key the cached rows
+//!   — stable under small deltas, without consuming RNG draws.
+//!
+//! AssignPoints runs as in a batch run: each call labels every point in
+//! one `Backend::assign` sweep, which EvaluateClusters and outlier removal
+//! then read.
 //!
 //! All three execution backends (CPU, single simulated GPU, sharded
 //! multi-device) serve streaming through the same `Backend` trait;
@@ -41,7 +39,7 @@ pub mod clusterer;
 pub mod dataset;
 mod driver;
 
-pub use cache::{AssignMemo, RowStore};
+pub use cache::RowStore;
 pub use clusterer::{
     ReclusterMode, ReclusterReport, StreamBackendSpec, StreamState, StreamingClusterer,
 };

@@ -305,8 +305,8 @@ fn frozen_labels(live: &StreamingClusterer) -> Vec<i32> {
 /// exactly AssignPoints on the snapshot under the frozen medoid positions
 /// and subspaces, and the incremental recluster that follows still equals
 /// a from-scratch run. Each round retires the last point and a middle one
-/// whose label differs from the point that swaps into its slot, so a memo
-/// left anchored to stale positions would seed a wrong label.
+/// whose label differs from the point that swaps into its slot, so a
+/// label kept by position across the retire would be wrong.
 fn check_warm_script(backend: &str, devices: usize) {
     let rec = NullRecorder;
     let cancel = CancelToken::default();
