@@ -151,11 +151,12 @@ pub trait Backend {
     fn x_from_best(&mut self, medoids: &[usize], rec: &dyn Recorder) -> Result<()>;
 
     /// RemoveOutliers: rewrite the current labels in place, discarding
-    /// points outside every medoid's sphere of influence. The driver reads
-    /// the final labels back with [`Backend::labels`] afterwards. A
-    /// backend may apply marks its refinement [`Backend::assign`] recorded
-    /// for the same medoids and subspaces instead of scanning again (the
-    /// CPU backend does, DESIGN.md §12.1).
+    /// points outside every medoid's sphere of influence, each measured in
+    /// that medoid's subspace in `dims`. The driver reads the final labels
+    /// back with [`Backend::labels`] afterwards. A backend may apply marks
+    /// its refinement [`Backend::assign`] recorded for the same medoids
+    /// and subspaces instead of scanning again (the CPU backend does,
+    /// DESIGN.md §12.1).
     fn remove_outliers(
         &mut self,
         medoids: &[usize],

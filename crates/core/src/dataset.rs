@@ -1,17 +1,20 @@
 //! The dataset container: a dense row-major `n × d` matrix of `f32`.
 //!
-//! PROCLUS treats the data as read-only throughout; values are `f32` to
-//! match the GPU implementations, while all statistics derived from them
-//! (`H`, `X`, `Y`, `σ`, centroids, cost) accumulate in `f64` so that
-//! incremental and recomputed variants agree to well below any decision
-//! threshold (see DESIGN.md §4).
+//! No PROCLUS phase mutates the data. Between runs a stream appends rows
+//! ([`DataMatrix::push_row`]) and swap-removes them
+//! ([`DataMatrix::swap_remove_row`]), and each run borrows the matrix as
+//! it stands. Values are `f32` to match the GPU implementations, while
+//! all statistics derived from them (`H`, `X`, `Y`, `σ`, centroids, cost)
+//! accumulate in `f64` so that incremental and recomputed variants agree
+//! to well below any decision threshold (see DESIGN.md §4).
 
 use crate::error::{ProclusError, Result};
 
-/// A dense, row-major `n × d` data matrix.
+/// A dense, row-major `n × d` data matrix. It never holds zero rows or
+/// zero dimensions, and every value is finite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataMatrix {
-    values: Box<[f32]>,
+    values: Vec<f32>,
     n: usize,
     d: usize,
 }
@@ -38,11 +41,7 @@ impl DataMatrix {
                 bad % d
             )));
         }
-        Ok(Self {
-            values: values.into_boxed_slice(),
-            n,
-            d,
-        })
+        Ok(Self { values, n, d })
     }
 
     /// Builds a matrix from per-point rows, which must all share one length.
@@ -87,6 +86,45 @@ impl DataMatrix {
     #[inline]
     pub fn flat(&self) -> &[f32] {
         &self.values
+    }
+
+    /// Appends a row. A row whose length is not `d`, or that holds a NaN
+    /// or an infinity, is an [`ProclusError::InvalidData`] and leaves the
+    /// matrix as it was.
+    pub fn push_row(&mut self, row: &[f32]) -> Result<()> {
+        if row.len() != self.d {
+            return Err(ProclusError::data(format!(
+                "appended row has {} values, expected {}",
+                row.len(),
+                self.d
+            )));
+        }
+        if let Some(j) = row.iter().position(|v| !v.is_finite()) {
+            return Err(ProclusError::data(format!(
+                "appended row has a non-finite value in dim {j}"
+            )));
+        }
+        self.values.extend_from_slice(row);
+        self.n += 1;
+        Ok(())
+    }
+
+    /// Removes row `p` by moving the last row into its place, so no other
+    /// row changes position. Removing a row past the end, or the only
+    /// row, is an [`ProclusError::InvalidData`] and leaves the matrix as
+    /// it was.
+    pub fn swap_remove_row(&mut self, p: usize) -> Result<()> {
+        if p >= self.n || self.n == 1 {
+            return Err(ProclusError::data(format!(
+                "cannot remove row {p} of {} (a matrix keeps at least one row)",
+                self.n
+            )));
+        }
+        let (d, last) = (self.d, self.n - 1);
+        self.values.copy_within(last * d.., p * d);
+        self.values.truncate(last * d);
+        self.n = last;
+        Ok(())
     }
 
     /// Min–max normalizes every dimension into `[0, 1]` in place, as the
@@ -143,6 +181,45 @@ mod tests {
     #[test]
     fn from_rows_rejects_ragged() {
         assert!(DataMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]).is_err());
+    }
+
+    #[test]
+    fn push_row_appends_and_rejects_bad_rows_unchanged() {
+        let mut m = DataMatrix::from_flat(vec![1.0, 2.0], 1, 2).unwrap();
+        m.push_row(&[3.0, 4.0]).unwrap();
+        assert_eq!((m.n(), m.row(1)), (2, &[3.0, 4.0][..]));
+        let before = m.clone();
+        for bad in [
+            &[5.0][..],
+            &[5.0, 6.0, 7.0],
+            &[f32::NAN, 6.0],
+            &[5.0, f32::INFINITY],
+            &[f32::NEG_INFINITY, 6.0],
+        ] {
+            let err = m.push_row(bad).unwrap_err();
+            assert!(matches!(err, ProclusError::InvalidData { .. }), "{bad:?}");
+            assert_eq!(m, before, "{bad:?} changed the matrix");
+        }
+    }
+
+    #[test]
+    fn swap_remove_row_moves_the_last_row_into_the_hole() {
+        let mut m = DataMatrix::from_flat((0..8).map(|v| v as f32).collect(), 4, 2).unwrap();
+        m.swap_remove_row(1).unwrap();
+        assert_eq!(m.flat(), &[0.0, 1.0, 6.0, 7.0, 4.0, 5.0]);
+        m.swap_remove_row(2).unwrap();
+        assert_eq!((m.n(), m.flat()), (2, &[0.0, 1.0, 6.0, 7.0][..]));
+        let rejected = |m: &mut DataMatrix, p: usize| {
+            let before = m.clone();
+            let err = m.swap_remove_row(p).unwrap_err();
+            assert!(matches!(err, ProclusError::InvalidData { .. }));
+            assert_eq!(*m, before, "a rejected removal changed the matrix");
+        };
+        rejected(&mut m, 2);
+        rejected(&mut m, usize::MAX);
+        m.swap_remove_row(0).unwrap();
+        assert_eq!((m.n(), m.flat()), (1, &[6.0, 7.0][..]));
+        rejected(&mut m, 0);
     }
 
     #[test]

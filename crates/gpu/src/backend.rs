@@ -60,8 +60,9 @@ pub(crate) fn flat_dims(dims: &[Vec<usize>]) -> (Vec<u32>, Vec<usize>) {
 /// them alive across settings (the persistent `Dist` cache of §3.1) while
 /// each setting drives its own backend value through the shared driver.
 /// The flattened subspaces live in device memory; a host copy and their
-/// offsets are kept here, so [`Backend::assign`] uploads only subspaces
-/// other than the resident ones.
+/// offsets are kept here, so [`Backend::assign`], [`Backend::evaluate`]
+/// and [`Backend::remove_outliers`] upload only subspaces other than the
+/// resident ones.
 pub struct GpuBackend<'a> {
     dev: &'a mut Device,
     ws: &'a Workspace,
@@ -96,6 +97,14 @@ impl<'a> GpuBackend<'a> {
         self.dev.upload(&self.ws.dims_flat, &flat);
         self.dims = dims.to_vec();
         self.offsets = offsets;
+    }
+
+    /// [`Self::upload_dims`] unless `dims` are the resident subspaces, as
+    /// they are on the batch path after `find_dims`.
+    fn ensure_dims(&mut self, dims: &[Vec<usize>]) {
+        if self.dims != dims {
+            self.upload_dims(dims);
+        }
     }
 }
 
@@ -336,10 +345,7 @@ impl Backend for GpuBackend<'_> {
         dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> Result<Vec<usize>> {
-        // After `find_dims` the subspaces are resident already.
-        if self.dims != dims {
-            self.upload_dims(dims);
-        }
+        self.ensure_dims(dims);
         assign_kernel(
             self.dev,
             &self.ws.data,
@@ -368,10 +374,11 @@ impl Backend for GpuBackend<'_> {
 
     fn evaluate(
         &mut self,
-        _dims: &[Vec<usize>],
+        dims: &[Vec<usize>],
         sizes: &[usize],
         _rec: &dyn Recorder,
     ) -> Result<f64> {
+        self.ensure_dims(dims);
         Ok(evaluate_kernel(
             self.dev,
             &self.ws.data,
@@ -463,9 +470,10 @@ impl Backend for GpuBackend<'_> {
     fn remove_outliers(
         &mut self,
         medoids: &[usize],
-        _dims: &[Vec<usize>],
+        dims: &[Vec<usize>],
         _rec: &dyn Recorder,
     ) -> Result<()> {
+        self.ensure_dims(dims);
         outlier_deltas_kernel(
             self.dev,
             &self.ws.data,
@@ -493,6 +501,7 @@ impl Backend for GpuBackend<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use gpu_sim::DeviceConfig;
+    use proclus::backend::CpuBackend;
     use proclus::par::Executor;
     use proclus::phases::assign::assign_points;
     use proclus_telemetry::NullRecorder;
@@ -520,6 +529,35 @@ pub(crate) mod tests {
         let dims = vec![vec![0, 3], vec![3], vec![0, 1], vec![0]];
         let labels = assign_points(data, &medoids, &dims, &Executor::Sequential);
         (medoids, dims, labels)
+    }
+
+    /// Subspaces other than `given`'s, and the CPU backend's results
+    /// under them after `assign(medoids, dims)`: the cost `evaluate`
+    /// returns and the labels `remove_outliers` leaves. Both differ from
+    /// the results under `dims`, so a backend that reads its resident
+    /// subspaces instead fails the comparison.
+    pub(crate) fn cpu_under_other(
+        data: &DataMatrix,
+        medoids: &[usize],
+        dims: &[Vec<usize>],
+    ) -> (Vec<Vec<usize>>, f64, Vec<i32>) {
+        let rec = &NullRecorder;
+        let under = |eval_dims: &[Vec<usize>]| {
+            let mut cpu = CpuBackend::new(data, Executor::Sequential);
+            let sizes = cpu.assign(medoids, dims, rec).unwrap();
+            let cost = cpu.evaluate(eval_dims, &sizes, rec).unwrap();
+            cpu.remove_outliers(medoids, eval_dims, rec).unwrap();
+            (cost, cpu.labels().unwrap())
+        };
+        let other = vec![vec![1, 2], vec![4, 5], vec![2], vec![1, 4]];
+        let (cost, labels) = under(&other);
+        let (resident_cost, resident_labels) = under(dims);
+        assert!(
+            (cost - resident_cost).abs() > 1e-3,
+            "{cost} vs {resident_cost}"
+        );
+        assert_ne!(labels, resident_labels, "the outliers differ");
+        (other, cost, labels)
     }
 
     /// `assign` labels under the subspaces it is handed: on a fresh
@@ -560,6 +598,33 @@ pub(crate) mod tests {
         assert!((spent - readback).abs() < 1e-9, "{spent} vs {readback}");
         assert!(uploaded > readback + 1e-9, "other subspaces are uploaded");
         assert_eq!(b.labels().unwrap(), under_found);
+        drop(b);
+        cache.free(&mut dev).unwrap();
+        ws.free(&mut dev).unwrap();
+    }
+
+    /// After `assign(dims)`, `evaluate` and `remove_outliers` work under
+    /// the other subspaces they are handed, as the CPU backend does.
+    #[test]
+    fn evaluate_and_remove_outliers_use_the_given_subspaces() {
+        let data = blobs();
+        let (medoids, dims, _) = given(&data);
+        let (other, want_cost, want_labels) = cpu_under_other(&data, &medoids, &dims);
+        let (n, k, rec) = (data.n(), medoids.len(), &NullRecorder);
+        let mut dev = Device::new(DeviceConfig::gtx_1660_ti());
+        dev.set_deterministic(true);
+        let ws = Workspace::new(&mut dev, &data, k, 40, 16).unwrap();
+        let mut cache = RowCache::new_fast(n, data.d(), k);
+        let mut b = GpuBackend::new(&mut dev, &ws, &mut cache, GpuVariant::Fast);
+        let sizes = b.assign(&medoids, &dims, rec).unwrap();
+        let cost = b.evaluate(&other, &sizes, rec).unwrap();
+        assert!(
+            (cost - want_cost).abs() <= 1e-9 * want_cost,
+            "{cost} vs {want_cost}"
+        );
+        b.assign(&medoids, &dims, rec).unwrap();
+        b.remove_outliers(&medoids, &other, rec).unwrap();
+        assert_eq!(b.labels().unwrap(), want_labels);
         drop(b);
         cache.free(&mut dev).unwrap();
         ws.free(&mut dev).unwrap();

@@ -310,6 +310,17 @@ impl<'a> ShardedBackend<'a> {
         flat.len()
     }
 
+    /// [`Self::upload_dims`] unless `dims` are the resident subspaces, as
+    /// they are on the batch path after `find_dims`; returns the number of
+    /// entries broadcast.
+    fn ensure_dims(&mut self, dims: &[Vec<usize>]) -> usize {
+        if self.dims == dims {
+            0
+        } else {
+            self.upload_dims(dims)
+        }
+    }
+
     /// One `shard:<i>` summary span per device: simulated busy time and
     /// kernel launches since the previous emission.
     fn emit_shard_spans(&mut self, rec: &dyn Recorder) {
@@ -597,11 +608,7 @@ impl Backend for ShardedBackend<'_> {
         // by `greedy`, its subspaces by `find_dims`.
         self.broadcast_medoids(medoids)?;
         let slots = self.annex_slots(medoids)?;
-        let sent = if self.dims != dims {
-            self.upload_dims(dims)
-        } else {
-            0
-        };
+        let sent = self.ensure_dims(dims);
         for shard in &mut self.shards {
             cancel.check()?;
             let n_l = shard.n_local;
@@ -705,7 +712,7 @@ impl Backend for ShardedBackend<'_> {
 
     fn evaluate(
         &mut self,
-        _dims: &[Vec<usize>],
+        dims: &[Vec<usize>],
         sizes: &[usize],
         rec: &dyn Recorder,
     ) -> proclus::Result<f64> {
@@ -713,6 +720,7 @@ impl Backend for ShardedBackend<'_> {
         let k = sizes.len();
         let cancel = self.cancel.clone();
         let starts = self.begin_step();
+        let sent = self.ensure_dims(dims);
         // Phase 1: partial centroid components per shard, pre-divided by
         // the global cluster sizes; the host sum is the global µ.
         let mut mu = vec![0.0f64; k * d];
@@ -754,7 +762,7 @@ impl Backend for ShardedBackend<'_> {
                 &shard.cost,
             );
         }
-        self.end_step(&starts, 2 * k * d + 1);
+        self.end_step(&starts, 2 * k * d + 1 + sent);
         let _ = rec;
         Ok(cost)
     }
@@ -832,13 +840,14 @@ impl Backend for ShardedBackend<'_> {
     fn remove_outliers(
         &mut self,
         medoids: &[usize],
-        _dims: &[Vec<usize>],
+        dims: &[Vec<usize>],
         rec: &dyn Recorder,
     ) -> proclus::Result<()> {
         let d = self.data.d();
         let cancel = self.cancel.clone();
         let slots = self.annex_slots(medoids)?;
         let starts = self.begin_step();
+        let sent = self.ensure_dims(dims);
         for shard in &mut self.shards {
             cancel.check()?;
             let n_l = shard.n_local;
@@ -866,7 +875,7 @@ impl Backend for ShardedBackend<'_> {
                 &shard.labels,
             );
         }
-        self.end_step(&starts, 0);
+        self.end_step(&starts, sent);
         if rec.enabled() {
             self.emit_shard_spans(rec);
         }
@@ -923,7 +932,7 @@ mod tests {
     use proclus_telemetry::NullRecorder;
 
     use super::*;
-    use crate::backend::tests::{blobs, given};
+    use crate::backend::tests::{blobs, cpu_under_other, given};
 
     /// `assign` labels under the subspaces it is handed, on a fresh
     /// ensemble (whose shards hold no medoid rows yet) and after
@@ -966,6 +975,31 @@ mod tests {
             );
         }
         assert_eq!(b.labels().unwrap(), under_found);
+        b.free().unwrap();
+    }
+
+    /// After `assign(dims)`, `evaluate` and `remove_outliers` work under
+    /// the other subspaces they are handed, as the CPU backend does, on
+    /// two shards.
+    #[test]
+    fn evaluate_and_remove_outliers_use_the_given_subspaces() {
+        let data = blobs();
+        let (medoids, dims, _) = given(&data);
+        let (other, want_cost, want_labels) = cpu_under_other(&data, &medoids, &dims);
+        let rec = &NullRecorder;
+        let cfg = DeviceConfig::gtx_1660_ti();
+        let mut b =
+            ShardedBackend::new(&cfg, &data, 2, medoids.len(), 40, GpuVariant::Fast).unwrap();
+        assert_eq!(b.shard_count(), 2);
+        let sizes = b.assign(&medoids, &dims, rec).unwrap();
+        let cost = b.evaluate(&other, &sizes, rec).unwrap();
+        assert!(
+            (cost - want_cost).abs() <= 1e-9 * want_cost,
+            "{cost} vs {want_cost}"
+        );
+        b.assign(&medoids, &dims, rec).unwrap();
+        b.remove_outliers(&medoids, &other, rec).unwrap();
+        assert_eq!(b.labels().unwrap(), want_labels);
         b.free().unwrap();
     }
 

@@ -5,8 +5,9 @@
 //! (`stream.append` / `stream.retire` / `stream.window`) are O(batch) and
 //! never run the algorithm; `stream.query` re-clusters only when the
 //! dataset is dirty, under a cooperative [`CancelToken`] armed by an
-//! optional deadline. After every successful query the live snapshot is
-//! (re-)registered **pinned** in the dataset registry, so byte-pressure
+//! optional deadline. After every query that re-clusters, a copy of the
+//! live rows is (re-)registered **pinned** in the dataset registry (the
+//! epoch itself borrows the rows and copies nothing), so byte-pressure
 //! eviction from concurrent batch jobs can never drop a dataset that has
 //! an open streaming session; `stream.close` unpins it.
 //!

@@ -2,7 +2,10 @@
 //!
 //! Owns a [`StreamDataset`], the cross-epoch row cache, and the last
 //! converged state. Mutations (`append` / `retire` / `set_window`) are
-//! O(batch); [`StreamingClusterer::recluster`] replays the full PROCLUS
+//! O(batch). An epoch lends the dataset's own rows to its backend and
+//! keeps the labels it gets back by position ([`PidLabels`]), so it
+//! copies no window and builds no map.
+//! [`StreamingClusterer::recluster`] replays the full PROCLUS
 //! decision loop against the row cache and returns a result bitwise equal
 //! to a from-scratch run over the same live points — the cache only shrinks
 //! the number of distances recomputed. When accumulated churn exceeds the
@@ -14,6 +17,9 @@
 //! fast path: medoids and subspaces stay frozen and only assignment runs.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Index;
+use std::sync::OnceLock;
 
 use gpu_sim::{Device, DeviceConfig};
 use proclus::backend::{Backend, CpuBackend};
@@ -122,47 +128,141 @@ pub struct ReclusterReport {
     pub sim_us: Option<f64>,
 }
 
-/// The last converged clustering, addressed by pid so it stays meaningful
-/// as positions shift under later mutations.
+/// The labels of one epoch: each point's pid and label, in the positions
+/// the points held during the epoch. Installing them moves the backend's
+/// label vector and copies the dataset's pids, with no map built.
+///
+/// Equality is that of the pid → label maps, so two epochs over the same
+/// points at different positions compare equal. A lookup by pid
+/// ([`PidLabels::get`], indexing) builds a pid → position table on its
+/// first call and is O(1) after that.
+#[derive(Clone)]
+pub struct PidLabels {
+    pids: Vec<u64>,
+    labels: Vec<i32>,
+    index: OnceLock<HashMap<u64, usize>>,
+}
+
+impl PidLabels {
+    fn new(pids: Vec<u64>, labels: Vec<i32>) -> Self {
+        debug_assert_eq!(pids.len(), labels.len(), "one label per pid");
+        Self {
+            pids,
+            labels,
+            index: OnceLock::new(),
+        }
+    }
+
+    fn index(&self) -> &HashMap<u64, usize> {
+        self.index.get_or_init(|| {
+            self.pids
+                .iter()
+                .enumerate()
+                .map(|(q, &pid)| (pid, q))
+                .collect()
+        })
+    }
+
+    /// Number of labelled points.
+    pub fn len(&self) -> usize {
+        self.pids.len()
+    }
+
+    /// True when the epoch labelled no point.
+    pub fn is_empty(&self) -> bool {
+        self.pids.is_empty()
+    }
+
+    /// `(pid, label)` pairs in the epoch's position order.
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &i32)> + '_ {
+        self.pids.iter().zip(&self.labels)
+    }
+
+    /// The labels in the epoch's position order.
+    pub fn values(&self) -> impl Iterator<Item = &i32> + '_ {
+        self.labels.iter()
+    }
+
+    /// The label the epoch gave `pid`, if it labelled that pid.
+    pub fn get(&self, pid: u64) -> Option<i32> {
+        self.index().get(&pid).map(|&q| self.labels[q])
+    }
+}
+
+/// The label of a pid the epoch labelled; panics on any other pid, as a
+/// map does.
+impl Index<&u64> for PidLabels {
+    type Output = i32;
+
+    fn index(&self, pid: &u64) -> &i32 {
+        &self.labels[self.index()[pid]]
+    }
+}
+
+impl PartialEq for PidLabels {
+    fn eq(&self, other: &Self) -> bool {
+        if self.pids == other.pids {
+            return self.labels == other.labels;
+        }
+        // pids are unique, so equal sizes and one inclusion make the maps
+        // equal.
+        self.len() == other.len()
+            && self
+                .iter()
+                .all(|(&pid, &label)| other.get(pid) == Some(label))
+    }
+}
+
+impl fmt::Debug for PidLabels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The last epoch's clustering, addressed by pid so it stays meaningful
+/// as positions shift under later mutations. It is not updated by them:
+/// a pid retired since the epoch keeps its entry here, and a pid appended
+/// since has none ([`StreamingClusterer::label_of`] answers for live pids
+/// only).
 #[derive(Debug, Clone)]
 pub struct StreamState {
     /// Medoid pids in slot order.
     pub medoid_pids: Vec<u64>,
     /// Chosen subspace per cluster.
     pub subspaces: Vec<Vec<usize>>,
-    /// Label per live pid (`OUTLIER` for outliers).
-    pub labels: HashMap<u64, i32>,
+    /// Label per pid the epoch clustered (`OUTLIER` for outliers).
+    pub labels: PidLabels,
     /// Best pre-refinement cost.
     pub cost: f64,
     /// Cost after refinement.
     pub refined_cost: f64,
 }
 
-/// Builds the epoch's backend from the spec and hands it to `f`, freeing
-/// device memory before returning. The second return value is the
-/// simulated device time the epoch consumed.
+/// Builds the epoch's backend over the dataset's own rows and hands it to
+/// `f`, freeing device memory before returning. The second return value
+/// is the simulated device time the epoch consumed.
 fn with_backend<R>(
     spec: &mut StreamBackendSpec,
-    snap: &DataMatrix,
+    data: &DataMatrix,
     params: &Params,
     cancel: &CancelToken,
     f: impl FnOnce(&mut dyn Backend) -> Result<R>,
 ) -> Result<(R, Option<f64>)> {
     match spec {
         StreamBackendSpec::Cpu { exec } => {
-            let mut b = CpuBackend::new(snap, *exec);
+            let mut b = CpuBackend::new(data, *exec);
             Ok((f(&mut b)?, None))
         }
         StreamBackendSpec::Gpu { dev } => {
-            let n = snap.n();
+            let n = data.n();
             let ws = Workspace::new(
                 dev,
-                snap,
+                data,
                 params.k,
                 params.sample_size(n),
                 params.num_potential_medoids(n),
             )?;
-            let mut cache = RowCache::new_fast(n, snap.d(), params.k);
+            let mut cache = RowCache::new_fast(n, data.d(), params.k);
             let t0 = dev.elapsed_us();
             let out = {
                 let mut b = GpuBackend::new(dev, &ws, &mut cache, GpuVariant::Fast);
@@ -177,10 +277,10 @@ fn with_backend<R>(
         StreamBackendSpec::Sharded { config, devices } => {
             let mut b = ShardedBackend::new(
                 config,
-                snap,
+                data,
                 *devices,
                 params.k,
-                params.sample_size(snap.n()),
+                params.sample_size(data.n()),
                 GpuVariant::Fast,
             )?;
             b.set_cancel(cancel);
@@ -313,8 +413,8 @@ impl StreamingClusterer {
     ) -> Result<ReclusterReport> {
         let g = span(rec, "stream.recluster");
         let n = self.ds.n();
-        let snap = self.ds.snapshot()?;
-        self.params.validate(&snap)?;
+        let data = self.ds.matrix()?;
+        self.params.validate(data)?;
 
         let stale = self.churn as f64 / n.max(1) as f64 > self.staleness_threshold;
         let mode = if self.state.is_none() || stale {
@@ -328,15 +428,16 @@ impl StreamingClusterer {
         let store = &mut self.store;
         let params = &self.params;
         let ((clustering, medoid_pids, costs), sim_us) =
-            with_backend(&mut self.spec, &snap, params, cancel, |b| {
+            with_backend(&mut self.spec, data, params, cancel, |b| {
                 run_stream_core(ds, store, b, params, rec, cancel)
             })?;
 
-        self.install_state(&clustering, medoid_pids);
+        let report = report(mode, n, &costs, &clustering, sim_us);
+        self.install_state(clustering, medoid_pids);
         self.dirty = false;
         self.churn = 0;
         drop(g);
-        Ok(report(mode, n, &costs, &clustering, sim_us))
+        Ok(report)
     }
 
     /// Approximate refresh: keeps the converged medoids and subspaces
@@ -362,29 +463,24 @@ impl StreamingClusterer {
             });
         }
         let n = self.ds.n();
-        let snap = self.ds.snapshot()?;
-        self.params.validate(&snap)?;
+        let data = self.ds.matrix()?;
+        self.params.validate(data)?;
 
         let ds = &self.ds;
         let params = &self.params;
         let mut costs = Costs::default();
-        let ((cost, labels), sim_us) = with_backend(&mut self.spec, &snap, params, cancel, |b| {
+        let ((cost, labels), sim_us) = with_backend(&mut self.spec, data, params, cancel, |b| {
             cancel.check()?;
             let sizes = assign_stream(ds, b, &medoid_pids, &dims, &mut costs, rec)?;
             let cost = b.evaluate(&dims, &sizes, rec)?;
             Ok((cost, b.labels()?))
         })?;
 
-        let labels_by_pid: HashMap<u64, i32> = labels
-            .iter()
-            .enumerate()
-            .map(|(q, &l)| (self.ds.pid_at(q), l))
-            .collect();
         let refined_cost = cost;
         self.state = Some(StreamState {
             medoid_pids,
             subspaces: dims,
-            labels: labels_by_pid,
+            labels: PidLabels::new(self.ds.pids().to_vec(), labels),
             cost,
             refined_cost,
         });
@@ -406,24 +502,21 @@ impl StreamingClusterer {
         })
     }
 
-    /// Label of a live pid from the last epoch, if both exist.
+    /// The last epoch's label of `pid`, if `pid` is live now and the
+    /// epoch labelled it: `None` for a retired pid, a pid appended since
+    /// the epoch, or before any epoch. The first call after an epoch
+    /// builds the state's pid → position table (O(n)); later calls are
+    /// O(1).
     pub fn label_of(&self, pid: u64) -> Option<i32> {
-        self.state
-            .as_ref()
-            .and_then(|s| s.labels.get(&pid).copied())
+        self.ds.pos_of(pid)?;
+        self.state.as_ref()?.labels.get(pid)
     }
 
-    fn install_state(&mut self, clustering: &Clustering, medoid_pids: Vec<u64>) {
-        let labels = clustering
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(q, &l)| (self.ds.pid_at(q), l))
-            .collect();
+    fn install_state(&mut self, clustering: Clustering, medoid_pids: Vec<u64>) {
         self.state = Some(StreamState {
             medoid_pids,
-            subspaces: clustering.subspaces.clone(),
-            labels,
+            subspaces: clustering.subspaces,
+            labels: PidLabels::new(self.ds.pids().to_vec(), clustering.labels),
             cost: clustering.cost,
             refined_cost: clustering.refined_cost,
         });
@@ -450,5 +543,138 @@ fn report(
         cost: clustering.cost,
         refined_cost: clustering.refined_cost,
         sim_us,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proclus::rng::splitmix64;
+    use proclus_telemetry::NullRecorder;
+
+    use super::*;
+
+    fn rows(n: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|i| {
+                let c = (i % 3) as f32 * 10.0;
+                (0..4)
+                    .map(|j| {
+                        let noise = (splitmix64((i * 4 + j) as u64) % 1000) as f32 / 1000.0;
+                        if j % 3 == i % 3 {
+                            c + noise
+                        } else {
+                            30.0 + noise * 8.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn params() -> Params {
+        Params::builder(3, 2)
+            .a(10)
+            .b(3)
+            .seed(11)
+            .build()
+            .expect("valid test params")
+    }
+
+    fn specs() -> Vec<StreamBackendSpec> {
+        vec![
+            StreamBackendSpec::Cpu {
+                exec: Executor::Sequential,
+            },
+            StreamBackendSpec::gpu(DeviceConfig::gtx_1660_ti()),
+            StreamBackendSpec::Sharded {
+                config: DeviceConfig::gtx_1660_ti(),
+                devices: 2,
+            },
+        ]
+    }
+
+    fn invalid_data(r: Result<ReclusterReport>) -> String {
+        match r {
+            Err(e @ ProclusError::InvalidData { .. }) => e.to_string(),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn label_of_answers_for_live_pids_only() {
+        let spec = StreamBackendSpec::Cpu {
+            exec: Executor::Sequential,
+        };
+        let mut c = StreamingClusterer::from_rows(&rows(400), params(), spec).unwrap();
+        assert_eq!(c.label_of(0), None, "no epoch yet");
+        c.recluster(&NullRecorder, &CancelToken::new()).unwrap();
+        let labels = c.state().unwrap().labels.clone();
+        for (&pid, &label) in labels.iter() {
+            assert_eq!(c.label_of(pid), Some(label));
+        }
+
+        let retired = c.dataset().pid_at(5);
+        let moved = c.dataset().pid_at(c.n() - 1);
+        c.retire(retired).unwrap();
+        assert_eq!(c.dataset().pos_of(moved), Some(5));
+        assert_eq!(c.label_of(retired), None, "retired");
+        assert_eq!(
+            c.label_of(moved),
+            Some(labels[&moved]),
+            "moved by the retire"
+        );
+
+        let (appended, _) = c.append(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(c.label_of(appended), None, "appended since the epoch");
+        c.recluster(&NullRecorder, &CancelToken::new()).unwrap();
+        assert!(c.label_of(appended).is_some());
+        assert_eq!(c.label_of(retired), None);
+    }
+
+    #[test]
+    fn empty_and_emptied_streams_are_typed_errors() {
+        let cancel = CancelToken::new();
+        for spec in specs() {
+            let name = spec.name();
+            let mut empty = StreamingClusterer::new(4, params(), spec).unwrap();
+            let msg = invalid_data(empty.recluster(&NullRecorder, &cancel));
+            assert!(msg.contains("dataset must be non-empty"), "{name}: {msg}");
+            invalid_data(empty.recluster_warm(&NullRecorder, &cancel));
+            assert!(empty.state().is_none());
+        }
+        for spec in specs() {
+            let name = spec.name();
+            let mut c = StreamingClusterer::from_rows(&rows(60), params(), spec).unwrap();
+            c.recluster(&NullRecorder, &cancel).unwrap();
+            for pid in 0..60 {
+                c.retire(pid).unwrap();
+            }
+            assert_eq!(c.n(), 0);
+            let msg = invalid_data(c.recluster(&NullRecorder, &cancel));
+            assert!(msg.contains("dataset must be non-empty"), "{name}: {msg}");
+            invalid_data(c.recluster_warm(&NullRecorder, &cancel));
+            assert!(
+                c.is_dirty(),
+                "{name}: a failed epoch keeps the stream dirty"
+            );
+        }
+    }
+
+    #[test]
+    fn pid_labels_compare_as_maps() {
+        let a = PidLabels::new(vec![4, 9, 2], vec![0, 1, -1]);
+        let b = PidLabels::new(vec![2, 4, 9], vec![-1, 0, 1]);
+        assert_eq!(a, b, "positions differ, pairs agree");
+        assert_ne!(a, PidLabels::new(vec![2, 4, 9], vec![-1, 0, 0]));
+        assert_ne!(a, PidLabels::new(vec![2, 4, 7], vec![-1, 0, 1]));
+        assert_ne!(a, PidLabels::new(vec![4, 9], vec![0, 1]));
+        assert_eq!((a.len(), a.is_empty()), (3, false));
+        assert_eq!(a.get(9), Some(1));
+        assert_eq!(a.get(3), None);
+        assert_eq!(b[&9], 1);
+        let pairs: Vec<(u64, i32)> = a.iter().map(|(&p, &l)| (p, l)).collect();
+        assert_eq!(pairs, [(4, 0), (9, 1), (2, -1)], "position order");
+        assert_eq!(a.values().copied().collect::<Vec<_>>(), [0, 1, -1]);
+        assert_eq!(format!("{a:?}"), "{4: 0, 9: 1, 2: -1}");
     }
 }

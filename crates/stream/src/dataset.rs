@@ -2,7 +2,9 @@
 //! retire, and sliding-window eviction over points addressed by stable
 //! point ids (pids).
 //!
-//! Positions (row indices into the flat matrix) shift as points come and
+//! The live rows are one [`DataMatrix`], which every re-clustering epoch
+//! borrows as its backend's data; nothing is copied per epoch.
+//! Positions (row indices into that matrix) shift as points come and
 //! go — retirement swap-removes, so the last row moves into the hole —
 //! but pids never do, so every cross-epoch cache in this crate is keyed by
 //! pid and re-anchored to positions through [`StreamDataset::pos_of`].
@@ -41,7 +43,9 @@ pub(crate) fn first_pick_priority(seed: u64, pid: u64) -> u64 {
 pub struct StreamDataset {
     d: usize,
     seed: u64,
-    flat: Vec<f32>,
+    /// The live rows by position; `None` while no point is live, as a
+    /// matrix never holds zero rows.
+    rows: Option<DataMatrix>,
     /// pid of the point at each position.
     pids: Vec<u64>,
     pos_of: HashMap<u64, usize>,
@@ -65,7 +69,7 @@ impl StreamDataset {
         Ok(Self {
             d,
             seed,
-            flat: Vec::new(),
+            rows: None,
             pids: Vec::new(),
             pos_of: HashMap::new(),
             order: BTreeSet::new(),
@@ -112,12 +116,21 @@ impl StreamDataset {
 
     /// Coordinates of the point at `pos`.
     pub fn row(&self, pos: usize) -> &[f32] {
-        &self.flat[pos * self.d..(pos + 1) * self.d]
+        &self.flat()[pos * self.d..(pos + 1) * self.d]
     }
 
     /// All live coordinates, row-major by position.
     pub(crate) fn flat(&self) -> &[f32] {
-        &self.flat
+        self.rows.as_ref().map_or(&[], DataMatrix::flat)
+    }
+
+    /// The live rows by position, as an epoch's backend reads them. An
+    /// empty dataset is an [`ProclusError::InvalidData`], as an empty
+    /// batch dataset is.
+    pub(crate) fn matrix(&self) -> Result<&DataMatrix> {
+        self.rows.as_ref().ok_or_else(|| ProclusError::InvalidData {
+            reason: format!("dataset must be non-empty, got 0 x {}", self.d),
+        })
     }
 
     /// The sliding-window capacity, if set.
@@ -126,22 +139,17 @@ impl StreamDataset {
     }
 
     /// Appends a point, returning its pid. If a window is set, the oldest
-    /// points are evicted to fit and their pids are returned.
+    /// points are evicted to fit and their pids are returned. A row of the
+    /// wrong width or with a non-finite value is an
+    /// [`ProclusError::InvalidData`] and changes nothing.
     pub fn append(&mut self, row: &[f32]) -> Result<(u64, Vec<u64>)> {
-        if row.len() != self.d {
-            return Err(ProclusError::InvalidData {
-                reason: format!("appended row has {} values, expected {}", row.len(), self.d),
-            });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(ProclusError::InvalidData {
-                reason: "appended row contains a non-finite value".into(),
-            });
+        match &mut self.rows {
+            Some(m) => m.push_row(row)?,
+            None => self.rows = Some(DataMatrix::from_flat(row.to_vec(), 1, self.d)?),
         }
         let pid = self.next_pid;
         self.next_pid += 1;
         let pos = self.pids.len();
-        self.flat.extend_from_slice(row);
         self.pids.push(pid);
         self.pos_of.insert(pid, pos);
         self.order.insert((sample_priority(self.seed, pid), pid));
@@ -153,21 +161,20 @@ impl StreamDataset {
     /// Removes a live point by pid. The last row swaps into the hole, so
     /// only one position changes.
     pub fn retire(&mut self, pid: u64) -> Result<()> {
-        let pos = self.pos_of.remove(&pid).ok_or(ProclusError::InvalidData {
+        let pos = self.pos_of(pid).ok_or(ProclusError::InvalidData {
             reason: format!("pid {pid} is not live"),
         })?;
+        match &mut self.rows {
+            Some(m) if m.n() > 1 => m.swap_remove_row(pos)?,
+            _ => self.rows = None,
+        }
+        self.pos_of.remove(&pid);
         self.order.remove(&(sample_priority(self.seed, pid), pid));
         self.live.remove(&pid);
-        let last = self.pids.len() - 1;
-        if pos != last {
-            let moved = self.pids[last];
-            let (head, tail) = self.flat.split_at_mut(last * self.d);
-            head[pos * self.d..(pos + 1) * self.d].copy_from_slice(&tail[..self.d]);
-            self.pids[pos] = moved;
+        self.pids.swap_remove(pos);
+        if let Some(&moved) = self.pids.get(pos) {
             self.pos_of.insert(moved, pos);
         }
-        self.pids.pop();
-        self.flat.truncate(last * self.d);
         Ok(())
     }
 
@@ -204,9 +211,11 @@ impl StreamDataset {
         self.order.iter().take(size).map(|&(_, pid)| pid).collect()
     }
 
-    /// An immutable snapshot for one re-clustering epoch.
+    /// An owned copy of the live rows by position, for a holder that
+    /// outlives the dataset's own; an epoch borrows the rows instead. An
+    /// empty dataset is an [`ProclusError::InvalidData`].
     pub fn snapshot(&self) -> Result<DataMatrix> {
-        DataMatrix::from_flat(self.flat.clone(), self.pids.len(), self.d)
+        self.matrix().cloned()
     }
 }
 
@@ -261,12 +270,53 @@ mod tests {
         assert_eq!(ds.n(), 8);
     }
 
+    /// A rejected row is a typed error that changes nothing, on an empty
+    /// dataset and on one with rows.
     #[test]
     fn rejects_ragged_and_non_finite_rows() {
+        let bad: [&[f32]; 4] = [
+            &[1.0],
+            &[1.0, 2.0, 3.0],
+            &[1.0, f32::NAN],
+            &[1.0, f32::INFINITY],
+        ];
         let mut ds = StreamDataset::new(2, 0).unwrap();
-        assert!(ds.append(&[1.0]).is_err());
-        assert!(ds.append(&[1.0, f32::NAN]).is_err());
-        assert!(ds.append(&[1.0, 2.0]).is_ok());
+        for row in bad {
+            let err = ds.append(row).unwrap_err();
+            assert!(matches!(err, ProclusError::InvalidData { .. }));
+            assert_eq!(ds.n(), 0);
+            assert!(ds.matrix().is_err());
+        }
+        ds.append(&[1.0, 2.0]).unwrap();
+        ds.append(&[3.0, 4.0]).unwrap();
+        for row in bad {
+            assert!(matches!(
+                ds.append(row),
+                Err(ProclusError::InvalidData { .. })
+            ));
+            assert_eq!(ds.pids(), &[0, 1]);
+            assert_eq!(ds.matrix().unwrap().flat(), &[1.0, 2.0, 3.0, 4.0]);
+        }
+        assert_eq!(ds.append(&[5.0, 6.0]).unwrap().0, 2, "no pid was spent");
+    }
+
+    #[test]
+    fn retiring_every_point_empties_the_matrix() {
+        let mut ds = StreamDataset::from_rows(&grid(3), 5).unwrap();
+        for pid in [2, 0, 1] {
+            ds.retire(pid).unwrap();
+            assert_eq!(ds.matrix().map(DataMatrix::n).unwrap_or(0), ds.n());
+        }
+        let err = ds.matrix().unwrap_err();
+        assert!(matches!(err, ProclusError::InvalidData { .. }));
+        assert!(
+            err.to_string().contains("dataset must be non-empty"),
+            "{err}"
+        );
+        assert!(ds.snapshot().is_err());
+        let (pid, _) = ds.append(&[7.0, 8.0]).unwrap();
+        assert_eq!((pid, ds.pos_of(pid)), (3, Some(0)));
+        assert_eq!(ds.snapshot().unwrap().flat(), &[7.0, 8.0]);
     }
 
     #[test]

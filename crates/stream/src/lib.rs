@@ -41,7 +41,7 @@ mod driver;
 
 pub use cache::RowStore;
 pub use clusterer::{
-    ReclusterMode, ReclusterReport, StreamBackendSpec, StreamState, StreamingClusterer,
+    PidLabels, ReclusterMode, ReclusterReport, StreamBackendSpec, StreamState, StreamingClusterer,
 };
 pub use dataset::StreamDataset;
 pub use driver::Costs;
