@@ -55,7 +55,7 @@ use crate::baseline::BaselineEngine;
 use crate::cancel::CancelToken;
 use crate::config::Algo;
 use crate::dataset::DataMatrix;
-use crate::distance_simd::euclidean_listed;
+use crate::distance_simd::{dispatch, LaneBlocks};
 use crate::driver::XEngine;
 use crate::error::{ProclusError, Result};
 use crate::fast::{compute_dist_rows, FastEngine};
@@ -63,7 +63,7 @@ use crate::fast_star::FastStarEngine;
 use crate::par::Executor;
 use crate::params::Params;
 use crate::phases::assign::assign_grouped;
-use crate::phases::evaluate::{grouped_cost, Groups};
+use crate::phases::evaluate::{grouped_cost, GrainGroups, Groups};
 use crate::phases::find_dimensions::find_dimensions;
 use crate::phases::initialization::greedy_select;
 use crate::phases::refinement::{outlier_deltas, remove_outliers, x_from_groups};
@@ -214,11 +214,20 @@ pub struct CpuBackend<'a> {
     groups: Option<Arc<Groups>>,
     /// The groups [`Backend::save_best`] kept.
     best: Option<Arc<Groups>>,
+    /// The grains of a grouping nothing holds any more, whose buffers the
+    /// next assign regroups in.
+    spare: Vec<GrainGroups>,
     /// Set by [`Backend::x_from_best`]: the next [`Backend::assign`] is
     /// the refinement's and runs the outlier test in its sweep.
     refining: bool,
     /// The refinement assign's labels with the outliers marked.
     marked: Option<Marked>,
+    /// The position list of the last [`Backend::dist_subset`] call, and
+    /// its rows in lane blocks: the stream's greedy asks for one list once
+    /// per pick, so it is gathered once. Positions cannot move while the
+    /// backend borrows the matrix, so the list alone keys the blocks.
+    listed_points: Vec<usize>,
+    listed: LaneBlocks,
 }
 
 /// Labels with the refinement's outliers marked, and the medoids and
@@ -248,8 +257,19 @@ impl<'a> CpuBackend<'a> {
             labels: Vec::new(),
             groups: None,
             best: None,
+            spare: Vec::new(),
             refining: false,
             marked: None,
+            listed_points: Vec::new(),
+            listed: LaneBlocks::default(),
+        }
+    }
+
+    /// Keeps the grains of `groups` for the next assign when nothing else
+    /// holds them (the saved best keeps its own).
+    fn recycle(&mut self, groups: Option<Arc<Groups>>) {
+        if let Some(groups) = groups.and_then(|g| Arc::try_unwrap(g).ok()) {
+            self.spare = groups.into_grains();
         }
     }
 }
@@ -326,7 +346,10 @@ impl Backend for CpuBackend<'_> {
         } else {
             Vec::new()
         };
-        let assigned = assign_grouped(self.data, medoids, dims, &spheres, &self.exec);
+        let old = self.groups.take();
+        self.recycle(old);
+        let spare = std::mem::take(&mut self.spare);
+        let assigned = assign_grouped(self.data, medoids, dims, &spheres, spare, &self.exec);
         self.marked = assigned.marked.map(|labels| Marked {
             medoids: medoids.to_vec(),
             dims: dims.to_vec(),
@@ -367,7 +390,8 @@ impl Backend for CpuBackend<'_> {
             .groups
             .as_ref()
             .ok_or_else(|| out_of_order("save_best", "assign"))?;
-        self.best = Some(Arc::clone(groups));
+        let old = self.best.replace(Arc::clone(groups));
+        self.recycle(old);
         Ok(())
     }
 
@@ -400,7 +424,8 @@ impl Backend for CpuBackend<'_> {
             _ => remove_outliers(self.data, &self.labels, medoids, dims, &self.exec),
         };
         // The groups are those of the labels before the removal.
-        self.groups = None;
+        let old = self.groups.take();
+        self.recycle(old);
         Ok(())
     }
 
@@ -411,12 +436,28 @@ impl Backend for CpuBackend<'_> {
         _rec: &dyn Recorder,
     ) -> Result<Vec<f32>> {
         let (data, m_row) = (self.data, self.data.row(medoid));
+        if self.listed_points != points {
+            self.listed.gather(data.flat(), data.d(), points);
+            self.listed_points.clear();
+            self.listed_points.extend_from_slice(points);
+        }
+        let listed = &self.listed;
         let mut out = vec![0.0f32; points.len()];
         // Each distance is its own chain and lands in its own slot, so
         // splitting `points` across grains leaves every value unchanged.
         self.exec.for_each_slice(&mut out, |off, sub| {
-            let listed = &points[off..off + sub.len()];
-            euclidean_listed(data.flat(), data.d(), m_row, listed, sub);
+            dispatch(
+                #[inline(always)]
+                || {
+                    listed.for_each_euclidean(
+                        m_row,
+                        off,
+                        sub.len(),
+                        #[inline(always)]
+                        |i, dist| sub[i] = dist,
+                    );
+                },
+            );
         });
         Ok(out)
     }
@@ -488,6 +529,41 @@ mod tests {
                         want.to_bits(),
                         "{exec:?} len {} i {i}",
                         points.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The backend keeps the lane blocks of its last listed gather: one
+    /// list asked for twice in a row (as the stream's greedy asks, pick
+    /// after pick), then another list of the same length, then the first
+    /// again, each call against another medoid, equal the scalar kernel
+    /// bit for bit.
+    #[test]
+    fn dist_subset_regathers_when_the_list_changes() {
+        let (data, execs) = setup();
+        let n = data.n();
+        let first: Vec<usize> = (0..4_099).map(|i| (i * 7_919 + 3) % n).collect();
+        let second: Vec<usize> = (0..4_099).map(|i| (i * 31 + 11) % n).collect();
+        let calls = [
+            (&first, 42),
+            (&first, 4_999),
+            (&second, 42),
+            (&first, 17),
+            (&second, 5_002),
+        ];
+        for exec in execs {
+            let mut backend = CpuBackend::new(&data, exec);
+            for (call, &(points, medoid)) in calls.iter().enumerate() {
+                let got = backend.dist_subset(medoid, points, &NullRecorder).unwrap();
+                assert_eq!(got.len(), points.len());
+                for (i, &p) in points.iter().enumerate() {
+                    let want = euclidean(data.row(p), data.row(medoid));
+                    assert_eq!(
+                        got[i].to_bits(),
+                        want.to_bits(),
+                        "{exec:?} call {call} i {i}"
                     );
                 }
             }

@@ -65,29 +65,53 @@
 //! transposed once into an L1-resident j-major scratch (8×8 register
 //! transposes), after which every medoid row streams over *contiguous*
 //! lanes — packed subtract in f32, widen to f64 (two `ymm` halves on AVX,
-//! one `zmm` on AVX-512), square and accumulate with **separate**
-//! `mul`/`add` instructions, as the scalar code does. (An FMA would give
-//! the same bits here: the square of a widened f32 is exact in f64, so
-//! fusing it into the add skips no rounding. The kernels keep the pair so
-//! that they read as the scalar code, not because the bits need it.) The
-//! portable eight-accumulator forms below stay the reference (and the
-//! only path on other architectures); the tier is invisible to callers
-//! and to results.
+//! one `zmm` on AVX-512), square and accumulate. The AVX tier squares and
+//! adds with **separate** `mul`/`add` instructions, as the scalar code
+//! does; the AVX-512 tier fuses them into one `vfmadd` (`_mm512_fmadd_pd`).
+//! The fused form rounds once where the pair rounds twice, yet gives the
+//! same bits: the square of an f32 difference widened to f64 has at most
+//! 48 significant bits, so it is exact in f64 and the pair's multiply
+//! never rounds. (The AVX trampoline does not enable `fma`, so that tier
+//! keeps the pair.) The portable eight-accumulator forms below stay the
+//! reference (and the only path on other architectures); the tier is
+//! invisible to callers and to results.
 //!
-//! The lane-resident per-point kernels ([`LaneScratch`], [`fold_shells`])
-//! are portable Rust. Callers run them under [`dispatch`], which compiles
-//! the same source twice more, with AVX and with AVX-512F enabled, and
-//! picks the copy of the detected tier. Rust never contracts a multiply
-//! and an add into an FMA, so every copy runs the same IEEE operations in
-//! the same order. Their intrinsic calls only move values: the transpose,
-//! and on AVX-512 the `vpcompressd` that lists a shell's members or a
-//! cluster's.
+//! The lane-resident per-point kernels ([`LaneScratch`], `LaneBlocks`,
+//! [`fold_shells`]) are portable Rust. Callers run them under
+//! [`dispatch`], which compiles the same source twice more, with AVX and
+//! with AVX-512F enabled, and picks the copy of the detected tier. Rust
+//! never contracts a multiply and an add into an FMA, so every copy runs
+//! the same IEEE operations in the same order. Their intrinsic calls only
+//! move values: the transpose, and on AVX-512 the `vpcompressd` that
+//! lists a shell's members or a cluster's. AssignPoints walks each
+//! medoid's subspace once per lane group of eight points on every tier: a
+//! sixteen-point walk (two groups per walk, in portable Rust or in `zmm`
+//! intrinsics) was measured and not kept (DESIGN.md §14.8).
+//!
+//! # Scratch
+//!
+//! No kernel allocates per executor grain. A grain's transposed lanes
+//! live in a per-thread buffer (`LaneScratch::with`), grown to the
+//! largest dimensionality the thread has seen and reused by the thread's
+//! next grain; rows a kernel reads against one medoid after another (the
+//! greedy's sample) are transposed once per call into `LaneBlocks`.
+
+use std::cell::Cell;
 
 use crate::distance::{euclidean, manhattan_segmental};
+use crate::par::with_spare;
 
 /// Lane width of the unrolled kernels: eight independent accumulators
 /// (2 × AVX2 `f64x4`, or 4 × SSE2 `f64x2`).
 pub const LANES: usize = 8;
+
+/// Values in one transposed lane group of `d`-dimensional points: `8 · d`
+/// rounded up to whole 8×8 blocks, so the AVX transpose can move the
+/// `d % 8` tail as one more block.
+#[inline(always)]
+fn block_len(d: usize) -> usize {
+    LANES * d.next_multiple_of(LANES)
+}
 
 /// Target size of one cache-blocked tile of the point strip, in bytes.
 /// 32 KiB keeps a tile resident in a typical L1d while the medoid rows
@@ -225,9 +249,13 @@ pub fn dispatch<R>(body: impl FnOnce() -> R) -> R {
 #[derive(Debug, Clone)]
 pub struct LaneScratch {
     d: usize,
-    /// `8 · d` rounded up to whole 8×8 blocks, so the AVX transpose can
-    /// move the `d % 8` tail as one more block.
+    /// At least [`block_len`]`(d)` values; the kernels use that prefix.
     lanes: Vec<f32>,
+}
+
+thread_local! {
+    /// This thread's lane storage for [`LaneScratch::with`].
+    static SPARE_LANES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 impl LaneScratch {
@@ -235,8 +263,31 @@ impl LaneScratch {
     pub fn new(d: usize) -> Self {
         Self {
             d,
-            lanes: vec![0.0; LANES * d.next_multiple_of(LANES)],
+            lanes: vec![0.0; block_len(d)],
         }
+    }
+
+    /// Runs `f` on a scratch for `d`-dimensional points whose storage is
+    /// this thread's spare lane buffer ([`with_spare`]): a grain body gets
+    /// its lanes without allocating once the thread has seen a `d` this
+    /// large. The lanes hold whatever the thread's last grain left, and
+    /// every kernel reads only lanes a load wrote.
+    #[inline(always)]
+    pub(crate) fn with<R>(d: usize, f: impl FnOnce(&mut LaneScratch) -> R) -> R {
+        with_spare(
+            &SPARE_LANES,
+            block_len(d),
+            #[inline(always)]
+            |lanes| {
+                let mut scratch = LaneScratch {
+                    d,
+                    lanes: std::mem::take(lanes),
+                };
+                let out = f(&mut scratch);
+                *lanes = scratch.lanes;
+                out
+            },
+        )
     }
 
     /// Loads the eight consecutive rows `first..first + 8` of the
@@ -245,7 +296,13 @@ impl LaneScratch {
     #[inline(always)]
     pub fn load_rows(&mut self, flat: &[f32], first: usize) {
         let last = first.saturating_add(LANES - 1);
-        self.load(flat, last, std::array::from_fn(|l| first + l));
+        transpose(
+            flat,
+            self.d,
+            last,
+            std::array::from_fn(|l| first + l),
+            &mut self.lanes[..block_len(self.d)],
+        );
     }
 
     /// Gathers the rows of the first eight points listed in `points`
@@ -254,33 +311,14 @@ impl LaneScratch {
     #[inline(always)]
     pub fn gather_rows(&mut self, flat: &[f32], points: &[usize]) {
         let points: [usize; LANES] = std::array::from_fn(|l| points[l]);
-        self.load(flat, points.iter().fold(0, |a, &p| a.max(p)), points);
-    }
-
-    /// Transposes the rows `points` into the lanes; `last` is the largest
-    /// of them.
-    #[inline(always)]
-    fn load(&mut self, flat: &[f32], last: usize, points: [usize; LANES]) {
-        let d = self.d;
-        let end = last.checked_mul(d).and_then(|s| s.checked_add(d));
-        assert!(
-            end.is_some_and(|e| e <= flat.len()),
-            "lane row {last} out of bounds"
+        let last = points.iter().fold(0, |a, &p| a.max(p));
+        transpose(
+            flat,
+            self.d,
+            last,
+            points,
+            &mut self.lanes[..block_len(self.d)],
         );
-        let starts: [usize; LANES] = std::array::from_fn(|l| points[l] * d);
-        #[cfg(target_arch = "x86_64")]
-        if tier() >= Tier::Avx {
-            // SAFETY: AVX was detected; every row is inside `flat`
-            // (asserted above), and `lanes` holds whole 8×8 blocks (set in
-            // `new`).
-            unsafe { x86::transpose8(flat, starts, d, &mut self.lanes) };
-            return;
-        }
-        for (l, &s) in starts.iter().enumerate() {
-            for (lane, &v) in self.lanes.chunks_exact_mut(LANES).zip(&flat[s..s + d]) {
-                lane[l] = v;
-            }
-        }
     }
 
     /// Euclidean distances from the eight loaded points to one medoid
@@ -289,14 +327,7 @@ impl LaneScratch {
     /// add in ascending dimension order, IEEE sqrt, narrow.
     #[inline(always)]
     pub fn euclidean(&self, m: &[f32]) -> [f32; LANES] {
-        let mut acc = [0.0f64; LANES];
-        for (v, &mj) in self.lanes.chunks_exact(LANES).zip(&m[..self.d]) {
-            for l in 0..LANES {
-                let diff = (v[l] - mj) as f64;
-                acc[l] += diff * diff;
-            }
-        }
-        acc.map(|a| a.sqrt() as f32)
+        lanes_euclidean(&self.lanes, self.d, m)
     }
 
     /// EvaluateClusters' per-point term for the eight loaded points
@@ -379,6 +410,133 @@ impl LaneScratch {
     }
 }
 
+/// Transposes the `d`-wide rows `points` of the row-major matrix `flat`
+/// into the j-major lane block `lanes` (`lanes[j·8 + l]` is coordinate `j`
+/// of lane `l`); `last` is the largest of them. The AVX register
+/// transpose on the AVX and AVX-512 tiers, a scalar one otherwise.
+#[inline(always)]
+fn transpose(flat: &[f32], d: usize, last: usize, points: [usize; LANES], lanes: &mut [f32]) {
+    let end = last.checked_mul(d).and_then(|s| s.checked_add(d));
+    assert!(
+        end.is_some_and(|e| e <= flat.len()),
+        "lane row {last} out of bounds"
+    );
+    assert!(
+        lanes.len() >= block_len(d),
+        "a lane block of {d} dimensions"
+    );
+    let starts: [usize; LANES] = std::array::from_fn(|l| points[l] * d);
+    #[cfg(target_arch = "x86_64")]
+    if tier() >= Tier::Avx {
+        // SAFETY: AVX was detected; every row is inside `flat` and
+        // `lanes` holds whole 8×8 blocks (both asserted above).
+        unsafe { x86::transpose8(flat, starts, d, lanes) };
+        return;
+    }
+    for (l, &s) in starts.iter().enumerate() {
+        for (lane, &v) in lanes.chunks_exact_mut(LANES).zip(&flat[s..s + d]) {
+            lane[l] = v;
+        }
+    }
+}
+
+/// Euclidean distances from the eight points of the j-major lane block
+/// `lanes` to `m`: per lane the scalar kernel's chain (f32 subtract,
+/// widen, square and add in ascending dimension order, IEEE sqrt, narrow).
+#[inline(always)]
+fn lanes_euclidean(lanes: &[f32], d: usize, m: &[f32]) -> [f32; LANES] {
+    let mut acc = [0.0f64; LANES];
+    for (v, &mj) in lanes.chunks_exact(LANES).zip(&m[..d]) {
+        for l in 0..LANES {
+            let diff = (v[l] - mj) as f64;
+            acc[l] += diff * diff;
+        }
+    }
+    acc.map(|a| a.sqrt() as f32)
+}
+
+/// Listed rows transposed once into lane blocks, for kernels that read
+/// the same rows against one medoid after another: the greedy's sample,
+/// once per pick, and the stream's `dist_subset` position lists. Block
+/// `g` holds the rows of `points[8g..8g + 8]` as a [`LaneScratch`] holds
+/// its group; the last `len % 8` rows are kept row-major for the scalar
+/// kernel. Every distance is its own chain, bitwise `distance::euclidean`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneBlocks {
+    d: usize,
+    len: usize,
+    blocks: Vec<f32>,
+    tail: Vec<f32>,
+}
+
+impl LaneBlocks {
+    /// The rows `points` of the row-major `d`-wide matrix `flat`.
+    pub(crate) fn new(flat: &[f32], d: usize, points: &[usize]) -> Self {
+        let mut blocks = Self::default();
+        blocks.gather(flat, d, points);
+        blocks
+    }
+
+    /// Replaces the held rows with the rows `points` of `flat`, reusing
+    /// the storage.
+    pub(crate) fn gather(&mut self, flat: &[f32], d: usize, points: &[usize]) {
+        let full = points.len() - points.len() % LANES;
+        let len = block_len(d);
+        (self.d, self.len) = (d, points.len());
+        // Every value a kernel reads is written below; a grown buffer's
+        // new values are never read before that.
+        self.blocks.resize(full / LANES * len, 0.0);
+        for (group, lanes) in points[..full]
+            .chunks_exact(LANES)
+            .zip(self.blocks.chunks_exact_mut(len))
+        {
+            let group: [usize; LANES] = std::array::from_fn(|l| group[l]);
+            let last = group.iter().fold(0, |a, &p| a.max(p));
+            transpose(flat, d, last, group, lanes);
+        }
+        self.tail.clear();
+        for &p in &points[full..] {
+            self.tail.extend_from_slice(&flat[p * d..(p + 1) * d]);
+        }
+    }
+
+    /// Calls `f(i, ‖row_{first + i} − m‖₂)` for the `len` held rows from
+    /// `first`, in order. `first` starts a lane group, and the range ends
+    /// at a lane group's end or at the last row, as executor grains do.
+    #[inline(always)]
+    pub(crate) fn for_each_euclidean(
+        &self,
+        m: &[f32],
+        first: usize,
+        len: usize,
+        mut f: impl FnMut(usize, f32),
+    ) {
+        let (d, end) = (self.d, first + len);
+        assert!(
+            first.is_multiple_of(LANES)
+                && (end.is_multiple_of(LANES) || end == self.len)
+                && end <= self.len,
+            "rows {first}..{end} of {} split a lane group",
+            self.len
+        );
+        let full = self.len - self.len % LANES;
+        let block = block_len(d);
+        let mut i = first;
+        while i + LANES <= end {
+            let dist = lanes_euclidean(&self.blocks[i / LANES * block..][..block], d, m);
+            for (l, dist) in dist.into_iter().enumerate() {
+                f(i - first + l, dist);
+            }
+            i += LANES;
+        }
+        while i < end {
+            let row = &self.tail[(i - full) * d..(i - full + 1) * d];
+            f(i - first, euclidean(row, m));
+            i += 1;
+        }
+    }
+}
+
 /// Points per block of [`fold_shells`]: a block's member rows stay in L1
 /// while every row of the sweep folds its members from it.
 const SHELL_BLOCK: usize = 256;
@@ -415,11 +573,29 @@ pub fn fold_shells(
     dh: &mut [f64],
     cnt: &mut [usize],
 ) {
-    assert_eq!(dh.len(), rows.len() * d, "one `dh` row per shell");
-    assert_eq!(cnt.len(), rows.len(), "one count per shell");
     let len = rows.first().map_or(0, |r| r.dist.len());
+    fold_shell_rows(flat, d, first, len, rows.len(), |r| rows[r], dh, cnt);
+}
+
+/// [`fold_shells`] over the `count` rows `row(0)..row(count)`, each over
+/// `len` points, made as the sweep reaches them: an executor grain folds
+/// its rows without collecting them first.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn fold_shell_rows<'a>(
+    flat: &[f32],
+    d: usize,
+    first: usize,
+    len: usize,
+    count: usize,
+    row: impl Fn(usize) -> ShellRow<'a>,
+    dh: &mut [f64],
+    cnt: &mut [usize],
+) {
+    assert_eq!(dh.len(), count * d, "one `dh` row per shell");
+    assert_eq!(cnt.len(), count, "one count per shell");
     assert!(
-        rows.iter().all(|r| r.dist.len() == len && r.m.len() == d),
+        (0..count).all(|r| row(r).dist.len() == len && row(r).m.len() == d),
         "ragged shell rows"
     );
     assert!((first + len) * d <= flat.len(), "sweep past the matrix");
@@ -431,7 +607,8 @@ pub fn fold_shells(
             let mut members = [0u32; SHELL_BLOCK];
             for b0 in (0..len).step_by(SHELL_BLOCK) {
                 let b1 = (b0 + SHELL_BLOCK).min(len);
-                for ((row, h), c) in rows.iter().zip(dh.chunks_exact_mut(d)).zip(&mut *cnt) {
+                for (r, (h, c)) in dh.chunks_exact_mut(d).zip(&mut *cnt).enumerate() {
+                    let row = row(r);
                     let hits =
                         shell_members(&row.dist[b0..b1], row.lo, row.hi, &mut members, compress);
                     fold_members::<true>(h, flat, first + b0, &members[..hits], row.m, pair);
@@ -606,13 +783,17 @@ pub(crate) fn list_clusters(labels: &[i32], at: &mut [u32], members: &mut [u32])
     for c in 0..k {
         at[c + 1] += at[c];
     }
-    let mut next = at[..k].to_vec();
+    // `at[c]` is cluster `c`'s write cursor; once every list is written
+    // it holds the list's end, the next list's start, so one shift puts
+    // the starts back.
     for (i, &c) in labels.iter().enumerate() {
         if let Some(c) = listed(c) {
-            members[next[c] as usize] = i as u32;
-            next[c] += 1;
+            members[at[c] as usize] = i as u32;
+            at[c] += 1;
         }
     }
+    at.copy_within(..k, 1);
+    at[0] = 0;
     at[k] as usize
 }
 
@@ -715,39 +896,6 @@ pub fn euclidean_strip_portable(points: &[f32], d: usize, m: &[f32], out: &mut [
     }
 }
 
-/// Fills `out[i] = ‖point_{points[i]} − m‖₂` for listed rows of the
-/// row-major matrix `flat`: each full lane group is gathered into a
-/// [`LaneScratch`] (on the AVX transpose where detected, consecutive or
-/// not), and the last `len % 8` points go through the scalar kernel. Every
-/// distance is its own chain, so each is bitwise-identical to
-/// `distance::euclidean`.
-pub(crate) fn euclidean_listed(
-    flat: &[f32],
-    d: usize,
-    m: &[f32],
-    points: &[usize],
-    out: &mut [f32],
-) {
-    assert_eq!(points.len(), out.len(), "one output per listed point");
-    dispatch(
-        #[inline(always)]
-        || {
-            let mut lanes = LaneScratch::new(d);
-            let full = points.len() - points.len() % LANES;
-            for (group, o) in points[..full]
-                .chunks_exact(LANES)
-                .zip(out.chunks_exact_mut(LANES))
-            {
-                lanes.gather_rows(flat, group);
-                o.copy_from_slice(&lanes.euclidean(m));
-            }
-            for (o, &p) in out[full..].iter_mut().zip(&points[full..]) {
-                *o = euclidean(&flat[p * d..(p + 1) * d], m);
-            }
-        },
-    );
-}
-
 /// Cache-blocked batch of `Dist` rows: `outs[r][i] = ‖pointᵢ − m_rows[r]‖₂`
 /// over one contiguous point strip. On the AVX and AVX-512 tiers each
 /// lane group is transposed once and reused for every medoid row; the
@@ -783,14 +931,14 @@ pub fn dist_rows_strip(points: &[f32], d: usize, m_rows: &[&[f32]], outs: &mut [
 /// Bitwise identity with the scalar kernel is load-bearing (see the
 /// module docs): subtraction stays packed *f32* (`vsubps`), widening is
 /// `vcvtps2pd`, and the square-accumulate is a separate `vmulpd` +
-/// `vaddpd` pair, the scalar code's two operations (the square is exact,
-/// so an FMA would round the same; see the module docs). `vsqrtpd`/
-/// `vcvtpd2ps` are IEEE
+/// `vaddpd` pair on AVX, the scalar code's two operations, and one
+/// `vfmadd` on AVX-512, which rounds the same because the square is exact
+/// (see the module docs). `vsqrtpd`/`vcvtpd2ps` are IEEE
 /// correctly-rounded, matching `f64::sqrt` and `as f32` lane for lane
 /// (NaNs from non-finite inputs propagate identically).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{euclidean, LANES, SHELL_BLOCK};
+    use super::{block_len, euclidean, LaneScratch, LANES, SHELL_BLOCK};
     use std::arch::x86_64::*;
 
     /// The AVX trampoline of [`super::dispatch`]: `body` and the
@@ -995,8 +1143,10 @@ mod x86 {
     }
 
     /// [`accumulate8`] with the eight lanes widened into one `zmm`
-    /// register: the same f32 subtract, widen, separate multiply and add
-    /// (never an FMA), IEEE sqrt and narrow per lane.
+    /// register: the same f32 subtract and widen, the square and add fused
+    /// into one `vfmadd` (bitwise the separate pair: the square of a
+    /// widened f32 is exact in f64, see the module docs), IEEE sqrt and
+    /// narrow per lane.
     ///
     /// # Safety
     ///
@@ -1010,7 +1160,7 @@ mod x86 {
             let mj = _mm256_set1_ps(*m.get_unchecked(j));
             let v = _mm256_loadu_ps(scratch.as_ptr().add(j * LANES));
             let diff = _mm512_cvtps_pd(_mm256_sub_ps(v, mj));
-            acc = _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
+            acc = _mm512_fmadd_pd(diff, diff, acc);
         }
         let mut out = [0.0f32; LANES];
         _mm256_storeu_ps(out.as_mut_ptr(), _mm512_cvtpd_ps(_mm512_sqrt_pd(acc)));
@@ -1081,20 +1231,26 @@ mod x86 {
         outs: &mut [&mut [f32]],
     ) {
         let n = outs.first().map(|o| o.len()).unwrap_or(0);
-        let mut scratch = vec![0.0f32; LANES * d.next_multiple_of(LANES)];
         let mut i = 0;
-        while i + LANES <= n {
-            transpose8(points, group(i, d), d, &mut scratch);
-            for (m, out) in m_rows.iter().zip(outs.iter_mut()) {
-                let dist = if WIDE {
-                    accumulate8_zmm(&scratch, d, m)
-                } else {
-                    accumulate8(&scratch, d, m)
-                };
-                out[i..i + LANES].copy_from_slice(&dist);
-            }
-            i += LANES;
-        }
+        LaneScratch::with(
+            d,
+            #[inline(always)]
+            |lanes| {
+                let scratch = &mut lanes.lanes[..block_len(d)];
+                while i + LANES <= n {
+                    transpose8(points, group(i, d), d, scratch);
+                    for (m, out) in m_rows.iter().zip(outs.iter_mut()) {
+                        let dist = if WIDE {
+                            accumulate8_zmm(scratch, d, m)
+                        } else {
+                            accumulate8(scratch, d, m)
+                        };
+                        out[i..i + LANES].copy_from_slice(&dist);
+                    }
+                    i += LANES;
+                }
+            },
+        );
         while i < n {
             for (m, out) in m_rows.iter().zip(outs.iter_mut()) {
                 out[i] = euclidean(&points[i * d..(i + 1) * d], m);
@@ -1397,7 +1553,9 @@ mod tests {
     }
 
     /// Listed distances equal the scalar kernel for contiguous, scattered
-    /// and mixed lists, with every `% 8` tail and the empty list.
+    /// and mixed lists, with every `% 8` tail and the empty list: over the
+    /// whole list and from each lane group to the end, with one
+    /// [`LaneBlocks`] regathered for every list.
     #[test]
     fn listed_distances_match_scalar_for_every_list_shape() {
         let (n, d) = (64, 15);
@@ -1414,15 +1572,26 @@ mod tests {
                     .collect(),
             );
         }
+        let mut blocks = LaneBlocks::default();
         for points in lists {
-            let mut out = vec![0.0f32; points.len()];
-            euclidean_listed(&flat, d, &m, &points, &mut out);
-            for (i, &p) in points.iter().enumerate() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    euclidean(&rows[p], &m).to_bits(),
-                    "{points:?} i {i}"
+            blocks.gather(&flat, d, &points);
+            for first in (0..=points.len()).step_by(LANES) {
+                let mut seen = Vec::new();
+                let len = points.len() - first;
+                dispatch(
+                    #[inline(always)]
+                    || blocks.for_each_euclidean(&m, first, len, |i, v| seen.push((i, v))),
                 );
+                assert_eq!(seen.len(), len, "{points:?} from {first}");
+                for (j, (i, v)) in seen.into_iter().enumerate() {
+                    let p = points[first + j];
+                    assert_eq!(i, j, "{points:?} from {first}");
+                    assert_eq!(
+                        v.to_bits(),
+                        euclidean(&rows[p], &m).to_bits(),
+                        "{points:?} from {first} i {i}"
+                    );
+                }
             }
         }
     }

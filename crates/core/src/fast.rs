@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use proclus_telemetry::{counters, Recorder};
 
 use crate::dataset::DataMatrix;
-use crate::distance_simd::{debug_assert_finite, dist_rows_strip, fold_shells, ShellRow};
+use crate::distance_simd::{debug_assert_finite, dist_rows_strip, fold_shell_rows, ShellRow};
 use crate::driver::XEngine;
 use crate::par::Executor;
 use crate::phases::compute_l::medoid_deltas;
@@ -65,8 +65,8 @@ impl Shell {
         }
     }
 
-    /// The [`fold_shells`] row folding this shell out of the `Dist` row
-    /// segment `dist` of the medoid `m`.
+    /// The [`fold_shells`](crate::distance_simd::fold_shells) row folding
+    /// this shell out of the `Dist` row segment `dist` of the medoid `m`.
     pub fn row<'a>(&self, dist: &'a [f32], m: &'a [f32]) -> ShellRow<'a> {
         ShellRow {
             dist,
@@ -107,6 +107,9 @@ pub(crate) struct HRows {
     h: Vec<f64>,                     // rows × d
     pub(crate) prev_delta: Vec<f32>, // per row: δ at last usage t'
     lsize: Vec<usize>,               // per row: |L| at last usage
+    /// Each grain's shell partials (`ΔH` rows and counts) of the last
+    /// [`HRows::advance`], whose buffers the next pass reuses.
+    parts: Vec<(Vec<f64>, Vec<usize>)>,
 }
 
 impl HRows {
@@ -119,6 +122,7 @@ impl HRows {
             h: vec![0.0; rows * d],
             prev_delta: vec![-1.0; rows],
             lsize: vec![0; rows],
+            parts: Vec::new(),
         }
     }
 
@@ -216,32 +220,37 @@ impl HRows {
             }
         }
         if !jobs.is_empty() {
-            let parts = exec.map_strips(
+            exec.map_strips_into(
                 n,
                 &mut fills,
-                || (vec![0.0f64; jobs.len() * d], vec![0usize; jobs.len()]),
+                &mut self.parts,
                 |(dh, cnt), range, strips| {
+                    // Each partial is a chain from zero.
+                    dh.clear();
+                    dh.resize(jobs.len() * d, 0.0);
+                    cnt.clear();
+                    cnt.resize(jobs.len(), 0);
                     if !strips.is_empty() {
                         let points = &flat[range.start * d..range.end * d];
                         dist_rows_strip(points, d, &fill_rows, strips);
                     }
-                    let shells: Vec<ShellRow<'_>> = jobs
-                        .iter()
-                        .map(|&(i, src, shell)| {
-                            let dist = match src {
-                                Source::Fill(f) => &*strips[f],
-                                Source::Cached(row) => &row[range.clone()],
-                            };
-                            shell.row(dist, data.row(medoids[i]))
-                        })
-                        .collect();
-                    fold_shells(flat, d, range.start, &shells, dh, cnt);
+                    let strips: &[&mut [f32]] = strips;
+                    let shell = |j: usize| {
+                        let (i, src, shell) = jobs[j];
+                        let dist = match src {
+                            Source::Fill(f) => &*strips[f],
+                            Source::Cached(row) => &row[range.clone()],
+                        };
+                        shell.row(dist, data.row(medoids[i]))
+                    };
+                    let (first, len) = (range.start, range.len());
+                    fold_shell_rows(flat, d, first, len, jobs.len(), shell, dh, cnt);
                 },
             );
             for (j, &(i, _, shell)) in jobs.iter().enumerate() {
                 let row = rows[i];
                 let (h, lsize) = (&mut self.h[row * d..(row + 1) * d], &mut self.lsize[row]);
-                for (dh, cnt) in &parts {
+                for (dh, cnt) in &self.parts {
                     shell.apply(h, lsize, &dh[j * d..(j + 1) * d], cnt[j]);
                 }
             }

@@ -215,9 +215,7 @@ impl Executor {
     /// pass: splits `0..len` into grains, hands each grain its private
     /// state from `make`, its range, and the grain's sub-range of every
     /// slice in `outs` (each of length `len`; `outs` may be empty), and
-    /// returns the states **in grain order**. ComputeL uses it to fill an
-    /// iteration's fresh `Dist` rows and fold every shell while the grain
-    /// is in cache.
+    /// returns the states **in grain order**.
     pub fn map_strips<T, S, MF, BF>(
         &self,
         len: usize,
@@ -231,10 +229,40 @@ impl Executor {
         MF: Fn() -> S + Sync,
         BF: Fn(&mut S, Range<usize>, &mut [&mut [T]]) + Sync,
     {
+        let mut states: Vec<Option<S>> = Vec::new();
+        self.map_strips_into(len, outs, &mut states, |s, range, strips| {
+            body(s.insert(make()), range, strips);
+        });
+        states
+            .into_iter()
+            .map(|s| s.expect("grain state"))
+            .collect()
+    }
+
+    /// [`Executor::map_strips`] over caller-held states: `states` is
+    /// resized to one per grain (new ones `S::default()`), and grain `g`'s
+    /// body gets `states[g]` as the caller, or its last call, left it. A
+    /// caller that keeps `states` between calls lets each grain reuse the
+    /// buffers its state holds instead of allocating them again: ComputeL
+    /// fills an iteration's fresh `Dist` rows and folds every shell while
+    /// the grain is in cache, into partials it keeps from pass to pass,
+    /// and AssignPoints labels and groups a grain in the buffers of an
+    /// earlier grouping.
+    pub fn map_strips_into<T, S, BF>(
+        &self,
+        len: usize,
+        outs: &mut [&mut [T]],
+        states: &mut Vec<S>,
+        body: BF,
+    ) where
+        T: Send,
+        S: Send + Default,
+        BF: Fn(&mut S, Range<usize>, &mut [&mut [T]]) + Sync,
+    {
         assert!(outs.iter().all(|o| o.len() == len), "ragged strips");
         let (grain, grains) = grains_for(len);
+        states.resize_with(grains, S::default);
         let bases: Vec<SendPtr<T>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
-        let mut states: Vec<Option<S>> = (0..grains).map(|_| None).collect();
         let slots = SendPtr(states.as_mut_ptr());
         self.execute(grains, &|g| {
             let lo = g * grain;
@@ -246,18 +274,38 @@ impl Executor {
                 // `outs` outlives `execute`.
                 .map(|p| unsafe { std::slice::from_raw_parts_mut(p.get().add(lo), hi - lo) })
                 .collect();
-            let mut s = make();
-            body(&mut s, lo..hi, &mut strips);
-            // SAFETY: each grain index `g < grains` writes only its own
-            // slot, and `states` outlives `execute` (which blocks until
-            // every grain completed).
-            unsafe { *slots.get().add(g) = Some(s) };
+            // SAFETY: each grain index `g < grains` touches only its own
+            // slot, and `states` (resized to `grains` above) outlives
+            // `execute`, which blocks until every grain completed.
+            let state = unsafe { &mut *slots.get().add(g) };
+            body(state, lo..hi, &mut strips);
         });
-        states
-            .into_iter()
-            .map(|s| s.expect("grain state"))
-            .collect()
     }
+}
+
+/// Runs `f` on this thread's spare buffer from `spare`, at least `len`
+/// values long, and keeps it for the thread's next call: grain bodies get
+/// their scratch from one buffer per participant thread, grown to the
+/// largest size the thread has seen, instead of allocating per grain. New
+/// values are `T::default()`; older ones hold what the thread's last call
+/// left, so a caller that needs zeros writes them. The buffer is taken out
+/// of its cell for the call, not borrowed: a nested call on the same
+/// thread (an inline submission from inside a grain) finds the cell empty
+/// and uses a buffer of its own. Always inlined, so a kernel body passed
+/// as an `#[inline(always)]` closure compiles for its caller's tier.
+#[inline(always)]
+pub(crate) fn with_spare<T: Clone + Default, R>(
+    spare: &'static std::thread::LocalKey<Cell<Vec<T>>>,
+    len: usize,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    let mut buf = spare.take();
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    let out = f(&mut buf);
+    spare.set(buf);
+    out
 }
 
 /// Raw-pointer wrapper so per-grain closures can write disjoint regions of
@@ -783,6 +831,53 @@ mod tests {
         let exec = Executor::Parallel { threads: 4 };
         let states = exec.map_chunks(0, || 7u32, |_, _| {});
         assert_eq!(states, vec![7]);
+    }
+
+    /// `map_strips_into` resizes the caller's states to one per grain and
+    /// hands grain `g` what the last call left in slot `g`.
+    #[test]
+    fn map_strips_into_hands_each_grain_its_last_state() {
+        for exec in modes() {
+            let mut states: Vec<Vec<usize>> = vec![vec![99]; 40];
+            let (grain, grains) = grains_for(10_000);
+            for call in 0..3 {
+                exec.map_strips_into::<u8, _, _>(10_000, &mut [], &mut states, |s, range, _| {
+                    s.push(range.start + call);
+                });
+                assert_eq!(states.len(), grains, "{exec:?}");
+                for (g, s) in states.iter().enumerate() {
+                    let mut want = vec![99];
+                    want.extend((0..=call).map(|c| g * grain + c));
+                    assert_eq!(s, &want, "{exec:?} call {call} grain {g}");
+                }
+            }
+            exec.map_strips_into::<u8, _, _>(100, &mut [], &mut states, |s, _, _| s.clear());
+            assert_eq!(states, vec![Vec::<usize>::new()], "{exec:?}");
+        }
+    }
+
+    thread_local! {
+        static SPARE: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    }
+
+    /// `with_spare` hands a thread its buffer back, grown to the largest
+    /// length asked for and holding what the last call left; a nested call
+    /// on the same thread gets a buffer of its own.
+    #[test]
+    fn with_spare_keeps_the_thread_buffer_and_nests() {
+        with_spare(&SPARE, 4, |b| {
+            assert_eq!(b, &[0; 4]);
+            b[3] = 7;
+        });
+        with_spare(&SPARE, 2, |b| {
+            assert_eq!(b, &[0, 0, 0, 7]);
+            with_spare(&SPARE, 3, |inner| {
+                assert_eq!(inner, &[0; 3]);
+                inner[0] = 5;
+            });
+            b[0] = 1;
+        });
+        with_spare(&SPARE, 1, |b| assert_eq!(b, &[1, 0, 0, 7]));
     }
 
     #[test]

@@ -24,11 +24,11 @@ pub(crate) fn assert_subspaces_non_empty(subspaces: &[Vec<usize>], phase: &str) 
 
 /// Labels the strip of consecutive rows starting at data index `first`
 /// with the nearest-medoid rule: each lane group of eight is loaded once
-/// into a transposed [`LaneScratch`] (the AVX register transpose), after
-/// which every medoid's subspace walk reads contiguous lanes; the `% 8`
-/// tail is scalar. With `refined`, the same distances also mark there, as
-/// [`OUTLIER`], every point outside all of the `spheres`, and copy the
-/// label of every other point.
+/// into a transposed [`LaneScratch`] (the AVX register transpose, into the
+/// thread's spare lanes), after which every medoid's subspace walk reads
+/// contiguous lanes; the `% 8` tail is scalar. With `refined`, the same
+/// distances also mark there, as [`OUTLIER`], every point outside all of
+/// the `spheres`, and copy the label of every other point.
 fn assign_strip(
     data: &DataMatrix,
     medoid_rows: &[&[f32]],
@@ -42,20 +42,26 @@ fn assign_strip(
         #[inline(always)]
         || {
             let flat = data.flat();
-            let mut lanes = LaneScratch::new(data.d());
             let len = out.len();
             let mut i = 0;
-            while i + LANES <= len {
-                lanes.load_rows(flat, first + i);
-                let (labels, inside) = lanes.nearest_within(medoid_rows, subspaces, spheres);
-                out[i..i + LANES].copy_from_slice(&labels);
-                if let Some(refined) = refined.as_deref_mut() {
-                    for l in 0..LANES {
-                        refined[i + l] = if inside[l] { labels[l] } else { OUTLIER };
+            LaneScratch::with(
+                data.d(),
+                #[inline(always)]
+                |lanes| {
+                    while i + LANES <= len {
+                        lanes.load_rows(flat, first + i);
+                        let (labels, inside) =
+                            lanes.nearest_within(medoid_rows, subspaces, spheres);
+                        out[i..i + LANES].copy_from_slice(&labels);
+                        if let Some(refined) = refined.as_deref_mut() {
+                            for l in 0..LANES {
+                                refined[i + l] = if inside[l] { labels[l] } else { OUTLIER };
+                            }
+                        }
+                        i += LANES;
                     }
-                }
-                i += LANES;
-            }
+                },
+            );
             while i < len {
                 let row = data.row(first + i);
                 let (label, inside) = nearest_medoid_within(row, medoid_rows, subspaces, spheres);
@@ -78,7 +84,7 @@ pub fn assign_points(
     subspaces: &[Vec<usize>],
     exec: &Executor,
 ) -> Vec<i32> {
-    assign_grouped(data, medoids, subspaces, &[], exec).labels
+    assign_grouped(data, medoids, subspaces, &[], Vec::new(), exec).labels
 }
 
 /// What the CPU backend's AssignPoints sweep leaves: the labels, the
@@ -99,7 +105,8 @@ pub(crate) struct Assigned {
 /// [`assign_points`] with the clusters grouped in the same sweep: when an
 /// executor grain has labelled its rows, it lists them cluster by cluster
 /// and sums each cluster's rows while they are in cache
-/// ([`GrainGroups::new`]). With `spheres` (from
+/// ([`GrainGroups::regroup`], in the buffers of `grains`, an earlier
+/// sweep's groupings or none). With `spheres` (from
 /// [`outlier_deltas`](crate::phases::refinement::outlier_deltas), one per
 /// medoid) the sweep also marks the refinement's outliers, tested on the
 /// segmental distances the labels were chosen from.
@@ -108,6 +115,7 @@ pub(crate) fn assign_grouped(
     medoids: &[usize],
     subspaces: &[Vec<usize>],
     spheres: &[f64],
+    mut grains: Vec<GrainGroups>,
     exec: &Executor,
 ) -> Assigned {
     debug_assert_eq!(medoids.len(), subspaces.len());
@@ -122,7 +130,7 @@ pub(crate) fn assign_grouped(
     if marking {
         outs.push(&mut marked);
     }
-    let grains = exec.map_strips(n, &mut outs, GrainGroups::default, |g, range, strips| {
+    exec.map_strips_into(n, &mut outs, &mut grains, |g, range, strips| {
         let (labels, refined) = strips.split_at_mut(1);
         let refined = refined.first_mut().map(|r| &mut **r);
         assign_strip(
@@ -134,7 +142,7 @@ pub(crate) fn assign_grouped(
             labels[0],
             refined,
         );
-        *g = GrainGroups::new(data, range.start, labels[0], k);
+        g.regroup(data, range.start, labels[0], k);
     });
     Assigned {
         labels,
@@ -203,6 +211,61 @@ mod tests {
         let seq = assign_points(&data, &medoids, &subs, &Executor::Sequential);
         let par = assign_points(&data, &medoids, &subs, &Executor::Parallel { threads: 5 });
         assert_eq!(seq, par);
+    }
+
+    /// The lane walk labels and marks every point as
+    /// `nearest_medoid_within` does: on every host tier and on 2 and 7
+    /// threads, for lengths around the lane width and grains that end on
+    /// 8 points but not on 16 (2,049 points), with coordinates on a coarse
+    /// grid (equal distances), a repeated medoid row, unsorted subspaces
+    /// that may list a dimension twice, and spheres that some point lies
+    /// exactly on.
+    #[test]
+    fn lane_walk_labels_and_marks_as_the_pointwise_rule_on_every_tier() {
+        use crate::distance::manhattan_segmental;
+        use crate::distance_simd::{host_tiers, nearest_medoid_within, with_tier};
+        use crate::rng::ProclusRng;
+        let mut rng = ProclusRng::new(0x1616);
+        for d in [1usize, 8, 15, 23] {
+            for n in [1usize, 7, 8, 15, 16, 17, 24, 2_049, 5_003] {
+                let flat: Vec<f32> = (0..n * d).map(|_| rng.below(5) as f32).collect();
+                let data = DataMatrix::from_flat(flat, n, d).unwrap();
+                let k = 2 + rng.below(5);
+                let mut medoids: Vec<usize> = (0..k).map(|_| rng.below(n)).collect();
+                medoids[k - 1] = medoids[0];
+                let subspaces: Vec<Vec<usize>> = (0..k)
+                    .map(|_| (0..1 + rng.below(d)).map(|_| rng.below(d)).collect())
+                    .collect();
+                let rows: Vec<&[f32]> = medoids.iter().map(|&m| data.row(m)).collect();
+                let spheres: Vec<f64> = (0..k)
+                    .map(|i| manhattan_segmental(data.row(rng.below(n)), rows[i], &subspaces[i]))
+                    .collect();
+                let want: Vec<(i32, bool)> = (0..n)
+                    .map(|p| nearest_medoid_within(data.row(p), &rows, &subspaces, &spheres))
+                    .collect();
+                let check = |exec: &Executor, what: &str| {
+                    let a = assign_grouped(&data, &medoids, &subspaces, &spheres, Vec::new(), exec);
+                    let marked = a.marked.expect("the sweep marks with spheres");
+                    let labels = assign_points(&data, &medoids, &subspaces, exec);
+                    for (p, &(label, inside)) in want.iter().enumerate() {
+                        let what = format!("{what} d {d} n {n} point {p}");
+                        assert_eq!(a.labels[p], label, "{what}: label");
+                        assert_eq!(labels[p], label, "{what}: label without spheres");
+                        let mark = if inside { label } else { OUTLIER };
+                        assert_eq!(marked[p], mark, "{what}: mark");
+                    }
+                };
+                for tier in host_tiers() {
+                    with_tier(tier, || check(&Executor::Sequential, &format!("{tier:?}")));
+                }
+                for threads in [2, 7] {
+                    check(
+                        &Executor::Parallel { threads },
+                        &format!("{threads} threads"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! the cluster's members in ascending point order per grain, as a
 //! point-at-a-time sweep adds them. EvaluateClusters then makes one pass:
 //! each grain computes its members' cost terms cluster by cluster, eight
-//! members at a time in lanes, into a per-grain buffer, and folds that
-//! buffer into one `acc` in ascending point order.
+//! members at a time in lanes, into a term buffer (one per thread, reused
+//! grain after grain), and folds that buffer into one `acc` in ascending
+//! point order.
+
+use std::cell::Cell;
 
 use crate::dataset::DataMatrix;
 use crate::distance_simd::{dispatch, fold_lists, list_clusters, LaneScratch, LANES};
-use crate::par::{grains_for, Executor};
+use crate::par::{grains_for, with_spare, Executor};
 
 /// One executor grain's clusters: `members[at[c]..at[c + 1]]` are the
 /// offsets, from the grain's first point, of cluster `c`'s members,
@@ -30,22 +33,24 @@ pub(crate) struct GrainGroups {
 
 impl GrainGroups {
     /// Groups the grain of points `first..first + labels.len()` by their
-    /// `labels` (`0..k`; negative labels, outliers, are in no cluster).
-    pub(crate) fn new(data: &DataMatrix, first: usize, labels: &[i32], k: usize) -> Self {
-        let d = data.d();
-        let mut at = vec![0u32; k + 1];
-        let mut members = vec![0u32; labels.len()];
-        let listed = list_clusters(labels, &mut at, &mut members);
-        members.truncate(listed);
-        let mut grain = Self {
-            at,
-            members,
-            sums: Vec::new(),
-        };
-        let mut sums = vec![0.0f64; k * d];
-        grain.fold(&mut sums, data, first, None);
-        grain.sums = sums;
-        grain
+    /// `labels` (`0..k`; negative labels, outliers, are in no cluster),
+    /// in the buffers of the grouping these replace.
+    pub(crate) fn regroup(&mut self, data: &DataMatrix, first: usize, labels: &[i32], k: usize) {
+        self.at.resize(k + 1, 0);
+        self.members.resize(labels.len(), 0);
+        let listed = list_clusters(labels, &mut self.at, &mut self.members);
+        self.members.truncate(listed);
+        // Each sum is a chain from `+0.0`.
+        let mut sums = std::mem::take(&mut self.sums);
+        sums.clear();
+        sums.resize(k * data.d(), 0.0);
+        self.fold(&mut sums, data, first, None);
+        self.sums = sums;
+    }
+
+    /// The number of the grain's points listed in some cluster.
+    pub(crate) fn listed(&self) -> usize {
+        self.members.len()
     }
 
     /// Cluster `c`'s members, as offsets from the grain's first point.
@@ -84,19 +89,18 @@ impl Groups {
     /// Reduces the grains of [`grains_for`]`(n)`, in grain order: sizes,
     /// and centroid sums each added from `0.0` grain after grain, then
     /// scaled by the cluster's size.
-    pub(crate) fn new(mut grains: Vec<GrainGroups>, n: usize, k: usize, d: usize) -> Self {
+    pub(crate) fn new(grains: Vec<GrainGroups>, n: usize, k: usize, d: usize) -> Self {
         let (grain, count) = grains_for(n);
         assert_eq!(grains.len(), count, "one group per grain");
         let mut sizes = vec![0usize; k];
         let mut centroids = vec![0.0f64; k * d];
-        for g in &mut grains {
+        for g in &grains {
             for (c, size) in sizes.iter_mut().enumerate() {
                 *size += g.members(c).len();
             }
             for (acc, v) in centroids.iter_mut().zip(&g.sums) {
                 *acc += v;
             }
-            g.sums = Vec::new();
         }
         for (c, &size) in sizes.iter().enumerate() {
             if size > 0 {
@@ -129,9 +133,15 @@ impl Groups {
             "a label is out of range for {k} clusters"
         );
         let grains = exec.map_chunks(n, GrainGroups::default, |g, range| {
-            *g = GrainGroups::new(data, range.start, &labels[range], k);
+            g.regroup(data, range.start, &labels[range], k);
         });
         Self::new(grains, n, k, data.d())
+    }
+
+    /// The grains' groupings, whose buffers a later grouping can reuse
+    /// ([`GrainGroups::regroup`]).
+    pub(crate) fn into_grains(self) -> Vec<GrainGroups> {
+        self.grains
     }
 
     /// Cluster sizes, outliers excluded.
@@ -173,10 +183,16 @@ pub fn evaluate_clusters(
     grouped_cost(data, &groups, subspaces, exec)
 }
 
+thread_local! {
+    /// This thread's term buffer for [`grouped_cost`] grains.
+    static SPARE_TERMS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
 /// [`evaluate_clusters`] over the [`Groups`] of the labels. Each member's
 /// term `s / |D_i|` is computed in lanes, cluster by cluster, into the
-/// grain's term buffer; the grain's `acc` is then ONE f64 chain over that
-/// buffer in ascending point order, exactly the point-at-a-time fold.
+/// grain's term buffer (the thread's spare, [`with_spare`]); the grain's
+/// `acc` is then ONE f64 chain over that buffer in ascending point order,
+/// exactly the point-at-a-time fold.
 /// An outlier's entry stays `+0.0`, and adding `+0.0` leaves `acc` (never
 /// `−0.0`: it starts at `+0.0` and adds terms `≥ +0.0` or NaN) unchanged,
 /// so the chain equals one that skips the outliers. Reassociating that
@@ -196,31 +212,45 @@ pub(crate) fn grouped_cost(
         || 0.0f64,
         |acc, range| {
             let grain = groups.grain(range.start);
-            let mut terms = vec![0.0f64; range.len()];
-            dispatch(
-                #[inline(always)]
-                || {
-                    let mut lanes = LaneScratch::new(d);
-                    for (c, dims) in subspaces.iter().enumerate() {
-                        let m = &mu[c * d..(c + 1) * d];
-                        for group in grain.members(c).chunks(LANES) {
-                            // A short last group repeats its final member.
-                            let last = group[group.len() - 1];
-                            let points: [usize; LANES] = std::array::from_fn(|l| {
-                                range.start + group.get(l).copied().unwrap_or(last) as usize
-                            });
-                            lanes.gather_rows(flat, &points);
-                            let t = lanes.centroid_terms(m, dims);
-                            for (&o, &v) in group.iter().zip(&t) {
-                                terms[o as usize] = v;
-                            }
-                        }
-                    }
-                },
-            );
-            for &t in &terms {
-                *acc += t;
-            }
+            with_spare(&SPARE_TERMS, range.len(), |terms| {
+                let terms = &mut terms[..range.len()];
+                // Every member's entry is written below; only an outlier's
+                // must read `+0.0`.
+                if grain.listed() < range.len() {
+                    terms.fill(0.0);
+                }
+                dispatch(
+                    #[inline(always)]
+                    || {
+                        LaneScratch::with(
+                            d,
+                            #[inline(always)]
+                            |lanes| {
+                                for (c, dims) in subspaces.iter().enumerate() {
+                                    let m = &mu[c * d..(c + 1) * d];
+                                    for group in grain.members(c).chunks(LANES) {
+                                        // A short last group repeats its
+                                        // final member.
+                                        let last = group[group.len() - 1];
+                                        let points: [usize; LANES] = std::array::from_fn(|l| {
+                                            let o = group.get(l).copied().unwrap_or(last);
+                                            range.start + o as usize
+                                        });
+                                        lanes.gather_rows(flat, &points);
+                                        let t = lanes.centroid_terms(m, dims);
+                                        for (&o, &v) in group.iter().zip(&t) {
+                                            terms[o as usize] = v;
+                                        }
+                                    }
+                                }
+                            },
+                        );
+                    },
+                );
+                for &t in terms.iter() {
+                    *acc += t;
+                }
+            });
         },
     );
     parts.into_iter().sum::<f64>() / n as f64
@@ -484,6 +514,9 @@ mod tests {
         runs.push((None, Executor::Parallel { threads: 7 }));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = ProclusRng::new(0x6A0F);
+        // Each sweep regroups in the buffers of the run before it, stale
+        // lists and sums of another shape among them.
+        let spare = std::cell::Cell::new(Vec::new());
         for d in [1usize, 7, 8, 9, 15, 16, 23, 40] {
             for n in [13usize, 2_048, 2_049, 4_103, 20_000] {
                 let flat: Vec<f32> = (0..n * d)
@@ -518,7 +551,14 @@ mod tests {
                             Executor::Sequential => &spheres[..],
                             _ => &[],
                         };
-                        let a = assign_grouped(&data, &medoids, &subspaces, spheres, exec);
+                        let a = assign_grouped(
+                            &data,
+                            &medoids,
+                            &subspaces,
+                            spheres,
+                            spare.take(),
+                            exec,
+                        );
                         assert_eq!(a.labels, swept, "{what}: labels");
                         assert_groups(&a.groups, &want_swept, &format!("{what} sweep"));
                         let (x, lsz) = x_from_groups(&data, &medoids, &a.groups, exec);
@@ -533,6 +573,7 @@ mod tests {
                         assert_eq!(cost(&a.groups).to_bits(), swept_cost, "{what}: sweep");
                         assert_eq!(cost(&same).to_bits(), swept_cost, "{what}: cost");
                         assert_eq!(cost(&other).to_bits(), outlier_cost, "{what}: outliers");
+                        spare.set(other.into_grains());
                     };
                     match tier {
                         Some(t) => with_tier(*t, run),

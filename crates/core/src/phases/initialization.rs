@@ -2,8 +2,7 @@
 //! the potential medoids `M` (Alg. 1 lines 2–3).
 
 use crate::dataset::DataMatrix;
-use crate::distance::euclidean;
-use crate::distance_simd::{euclidean8, LANES};
+use crate::distance_simd::{dispatch, LaneBlocks};
 use crate::par::Executor;
 use crate::rng::ProclusRng;
 
@@ -18,7 +17,9 @@ pub fn sample_data_prime(rng: &mut ProclusRng, n: usize, size: usize) -> Vec<usi
 /// The first medoid is drawn uniformly from the candidates (one RNG draw);
 /// every further medoid is the candidate with the maximum distance to its
 /// nearest already-selected medoid. Ties break toward the lower candidate
-/// position, matching the GPU kernel's deterministic claim order.
+/// position, matching the GPU kernel's deterministic claim order. The
+/// candidates' rows are transposed once into lane blocks, which every
+/// pick's fold reads under [`dispatch`].
 pub fn greedy_select(
     data: &DataMatrix,
     candidates: &[usize],
@@ -35,32 +36,29 @@ pub fn greedy_select(
     // Distance from each candidate to its nearest selected medoid.
     let mut min_dist = vec![f32::INFINITY; s];
     let mut latest = candidates[first];
+    let sample = LaneBlocks::new(data.flat(), data.d(), candidates);
 
     for _ in 1..count {
         // Fold the latest pick into the min-distances (disjoint writes),
         // then take the argmax — the two kernels of GPU Alg. 2.
         let latest_row = data.row(latest);
         exec.for_each_slice(&mut min_dist, |off, sub| {
-            let len = sub.len();
-            let mut i = 0;
-            while i + LANES <= len {
-                let rows: [&[f32]; LANES] =
-                    std::array::from_fn(|l| data.row(candidates[off + i + l]));
-                let dist = euclidean8(rows, latest_row);
-                for l in 0..LANES {
-                    if dist[l] < sub[i + l] {
-                        sub[i + l] = dist[l];
-                    }
-                }
-                i += LANES;
-            }
-            while i < len {
-                let dist = euclidean(data.row(candidates[off + i]), latest_row);
-                if dist < sub[i] {
-                    sub[i] = dist;
-                }
-                i += 1;
-            }
+            dispatch(
+                #[inline(always)]
+                || {
+                    sample.for_each_euclidean(
+                        latest_row,
+                        off,
+                        sub.len(),
+                        #[inline(always)]
+                        |i, dist| {
+                            if dist < sub[i] {
+                                sub[i] = dist;
+                            }
+                        },
+                    );
+                },
+            );
         });
         let parts = exec.map_chunks(
             s,
@@ -148,6 +146,81 @@ mod tests {
             &Executor::Parallel { threads: 4 },
         );
         assert_eq!(seq, par);
+    }
+
+    /// The greedy pick by pick, as it ran before it gathered its sample:
+    /// each pick folds the latest medoid into every candidate's minimum
+    /// with the scalar kernel, then takes the first candidate of the
+    /// largest minimum.
+    fn per_pick_greedy(
+        data: &DataMatrix,
+        candidates: &[usize],
+        count: usize,
+        rng: &mut ProclusRng,
+    ) -> Vec<usize> {
+        let mut picks = vec![candidates[rng.below(candidates.len())]];
+        let mut min_dist = vec![f32::INFINITY; candidates.len()];
+        while picks.len() < count {
+            let latest = data.row(picks[picks.len() - 1]);
+            for (m, &c) in min_dist.iter_mut().zip(candidates) {
+                let dist = crate::distance::euclidean(data.row(c), latest);
+                if dist < *m {
+                    *m = dist;
+                }
+            }
+            let mut best = (f32::NEG_INFINITY, usize::MAX);
+            for (c, &m) in min_dist.iter().enumerate() {
+                if m > best.0 {
+                    best = (m, c);
+                }
+            }
+            picks.push(candidates[best.1]);
+        }
+        picks
+    }
+
+    /// The gathered greedy returns the per-pick reference's picks: samples
+    /// with `|S| % 8` of 0 and 3, in one grain and in several, dimensions
+    /// with a `% 8` tail, coordinates on a coarse grid (equal distances),
+    /// and samples of five distinct rows, so that picks repeat; on every
+    /// host tier and on 2 and 7 threads.
+    #[test]
+    fn gathered_greedy_returns_the_per_pick_picks() {
+        use crate::distance_simd::{host_tiers, with_tier};
+        let mut rng = ProclusRng::new(0x6EED);
+        for d in [3usize, 11, 19] {
+            for s in [8usize, 43, 1_000, 4_096, 4_099] {
+                for distinct in [usize::MAX, 5] {
+                    let n = s + 37;
+                    let base: Vec<f32> = (0..n * d).map(|_| rng.below(7) as f32 * 0.5).collect();
+                    let flat: Vec<f32> = (0..n)
+                        .flat_map(|i| {
+                            let r = i % distinct.min(n);
+                            base[r * d..(r + 1) * d].iter().copied()
+                        })
+                        .collect();
+                    let data = DataMatrix::from_flat(flat, n, d).unwrap();
+                    let candidates = sample_data_prime(&mut rng, n, s);
+                    let (count, seed) = (s.min(24), rng.next_u64());
+                    let want =
+                        per_pick_greedy(&data, &candidates, count, &mut ProclusRng::new(seed));
+                    let greedy = |exec: &Executor| {
+                        greedy_select(&data, &candidates, count, &mut ProclusRng::new(seed), exec)
+                    };
+                    for tier in host_tiers() {
+                        let got = with_tier(tier, || greedy(&Executor::Sequential));
+                        assert_eq!(got, want, "{tier:?} d {d} |S| {s} distinct {distinct}");
+                    }
+                    for threads in [2, 7] {
+                        let got = greedy(&Executor::Parallel { threads });
+                        assert_eq!(
+                            got, want,
+                            "{threads} threads d {d} |S| {s} distinct {distinct}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

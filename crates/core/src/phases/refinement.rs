@@ -78,48 +78,52 @@ pub fn remove_outliers(
     let flat = data.flat();
     let mut out = labels.to_vec();
     exec.for_each_slice(&mut out, |off, sub| {
+        let len = sub.len();
+        let mut idx = 0;
         dispatch(
             #[inline(always)]
             || {
-                let mut lanes = LaneScratch::new(data.d());
-                let len = sub.len();
-                let mut idx = 0;
-                // Lane groups, transposed once: the `any` predicate is
-                // pure, so evaluating a medoid's sphere for all eight lanes
-                // (instead of short-circuiting per point) cannot change the
-                // outcome; the medoid loop still exits as soon as every
-                // lane is inside some sphere.
-                while idx + LANES <= len {
-                    lanes.load_rows(flat, off + idx);
-                    let mut inside = [false; LANES];
-                    for i in 0..k {
-                        let dist = lanes.segmental(medoid_rows[i], &subspaces[i]);
-                        for l in 0..LANES {
-                            inside[l] |= dist[l] <= deltas[i];
+                LaneScratch::with(
+                    data.d(),
+                    #[inline(always)]
+                    |lanes| {
+                        // Lane groups, transposed once: the `any` predicate is
+                        // pure, so evaluating a medoid's sphere for all eight lanes
+                        // (instead of short-circuiting per point) cannot change the
+                        // outcome; the medoid loop still exits as soon as every
+                        // lane is inside some sphere.
+                        while idx + LANES <= len {
+                            lanes.load_rows(flat, off + idx);
+                            let mut inside = [false; LANES];
+                            for i in 0..k {
+                                let dist = lanes.segmental(medoid_rows[i], &subspaces[i]);
+                                for l in 0..LANES {
+                                    inside[l] |= dist[l] <= deltas[i];
+                                }
+                                if inside.iter().all(|&v| v) {
+                                    break;
+                                }
+                            }
+                            for l in 0..LANES {
+                                if !inside[l] {
+                                    sub[idx + l] = OUTLIER;
+                                }
+                            }
+                            idx += LANES;
                         }
-                        if inside.iter().all(|&v| v) {
-                            break;
-                        }
-                    }
-                    for l in 0..LANES {
-                        if !inside[l] {
-                            sub[idx + l] = OUTLIER;
-                        }
-                    }
-                    idx += LANES;
-                }
-                while idx < len {
-                    let row = data.row(off + idx);
-                    let inside_any = (0..k).any(|i| {
-                        manhattan_segmental(row, medoid_rows[i], &subspaces[i]) <= deltas[i]
-                    });
-                    if !inside_any {
-                        sub[idx] = OUTLIER;
-                    }
-                    idx += 1;
-                }
+                    },
+                );
             },
         );
+        while idx < len {
+            let row = data.row(off + idx);
+            let inside_any = (0..k)
+                .any(|i| manhattan_segmental(row, medoid_rows[i], &subspaces[i]) <= deltas[i]);
+            if !inside_any {
+                sub[idx] = OUTLIER;
+            }
+            idx += 1;
+        }
     });
     out
 }

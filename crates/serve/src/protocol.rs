@@ -253,12 +253,12 @@ pub fn serve_connection<R: BufRead, W: Write>(
             "stream.open" | "stream.append" | "stream.retire" | "stream.window"
             | "stream.query" | "stream.close" => {
                 let out = match op {
-                    "stream.open" => streams.open(server, &v),
+                    "stream.open" => streams.open(&v),
                     "stream.append" => streams.append(&v),
                     "stream.retire" => streams.retire(&v),
                     "stream.window" => streams.window(&v),
-                    "stream.query" => streams.query(server, &v),
-                    _ => streams.close(server, &v),
+                    "stream.query" => streams.query(&v),
+                    _ => streams.close(&v),
                 };
                 match out {
                     Ok(line) => writeln!(writer, "{line}")?,
@@ -281,7 +281,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
     for (_, p) in pending.drain() {
         let _ = p.handle.wait();
     }
-    streams.close_all(server);
+    streams.close_all();
     writer.flush()
 }
 
@@ -455,11 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn live_datasets_stay_pinned_until_close() {
+    fn live_datasets_stay_out_of_the_registry() {
         let server = Server::start(ServeConfig::default().with_workers(1)).expect("server starts");
         let mut input = String::from(
-            "{\"op\":\"stream.open\",\"name\":\"pinme\",\"d\":2,\"k\":2,\"l\":2,\"a\":6,\"b\":3}\n\
-             {\"op\":\"stream.append\",\"name\":\"pinme\",\"rows\":[",
+            "{\"op\":\"stream.open\",\"name\":\"live\",\"d\":2,\"k\":2,\"l\":2,\"a\":6,\"b\":3}\n\
+             {\"op\":\"stream.append\",\"name\":\"live\",\"rows\":[",
         );
         for i in 0..80 {
             if i > 0 {
@@ -468,14 +468,20 @@ mod tests {
             let _ = write!(input, "[{},{}]", (i % 2) * 20, i % 9);
         }
         input.push_str(
-            "]}\n{\"op\":\"stream.query\",\"name\":\"pinme\"}\n\
-             {\"op\":\"stream.close\",\"name\":\"pinme\"}\n",
+            "]}\n{\"op\":\"stream.query\",\"name\":\"live\"}\n\
+             {\"op\":\"stream.close\",\"name\":\"live\"}\n",
         );
         let lines = session(&server, &input);
         assert!(lines[2].contains("\"ok\":true"), "{lines:?}");
-        // After the query the snapshot is registered and pinned; close
-        // released the pin (count 0) but left the entry cached.
-        assert_eq!(server.registry().pin_count("stream:pinme"), Some(0));
+        assert!(lines[2].contains("\"reclustered\":true"), "{lines:?}");
+        assert!(lines[3].contains("\"op\":\"stream.closed\""), "{lines:?}");
+        // The session owns its rows: a re-clustering query registers no
+        // `stream:` entry and spends none of the registry's bytes.
+        assert!(
+            server.registry().is_empty(),
+            "a live dataset was registered"
+        );
+        assert_eq!(server.registry().cached_bytes(), 0);
     }
 
     #[test]

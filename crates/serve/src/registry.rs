@@ -61,10 +61,6 @@ struct Entry {
     bytes: usize,
     fingerprint: u64,
     last_used: u64,
-    /// Pin count: live (streaming) datasets pin their registry entry so
-    /// byte-pressure eviction cannot drop the dataset under an open
-    /// session. 0 = normal LRU lifecycle.
-    pinned: u32,
 }
 
 struct Inner {
@@ -124,16 +120,12 @@ fn bytes_of(data: &DataMatrix) -> usize {
     data.n() * data.d() * std::mem::size_of::<f32>()
 }
 
-/// Evicts unpinned LRU entries until `incoming` fits in the budget.
-/// Pinned entries are never victims, so under enough pinned bytes the
-/// budget is soft: the insert proceeds and pressure falls on whatever is
-/// unpinned later.
+/// Evicts LRU entries until `incoming` fits in the budget.
 fn evict_to_fit(inner: &mut Inner, budget: usize, incoming: usize) {
     while inner.bytes + incoming > budget {
         let victim = inner
             .map
             .iter()
-            .filter(|(_, e)| e.pinned == 0)
             .min_by_key(|(_, e)| e.last_used)
             .map(|(k, _)| k.clone());
         let Some(victim) = victim else {
@@ -231,7 +223,6 @@ impl DatasetRegistry {
                         bytes,
                         fingerprint: fp,
                         last_used: clock,
-                        pinned: 0,
                     },
                 );
                 inner.bytes += bytes;
@@ -242,74 +233,6 @@ impl DatasetRegistry {
         }
         drop(claim);
         Ok(data)
-    }
-
-    /// Inserts or refreshes an entry under `r`'s key and pins it (a fresh
-    /// insert starts at pin count 1; a refresh keeps the existing count).
-    /// Streaming sessions call this after each re-clustering so the
-    /// registry always serves the live snapshot and never evicts it.
-    /// Returns the content fingerprint.
-    pub fn put_pinned(&self, key: &str, data: Arc<DataMatrix>) -> u64 {
-        let key = key.to_string();
-        let bytes = bytes_of(&data);
-        let fp = fingerprint(&data);
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(e) = inner.map.get_mut(&key) {
-            let old_bytes = e.bytes;
-            e.data = data;
-            e.bytes = bytes;
-            e.fingerprint = fp;
-            e.last_used = clock;
-            e.pinned = e.pinned.max(1);
-            inner.bytes = inner.bytes - old_bytes + bytes;
-        } else {
-            evict_to_fit(&mut inner, self.budget_bytes, bytes);
-            inner.map.insert(
-                key,
-                Entry {
-                    data,
-                    bytes,
-                    fingerprint: fp,
-                    last_used: clock,
-                    pinned: 1,
-                },
-            );
-            inner.bytes += bytes;
-        }
-        fp
-    }
-
-    /// Pins an already-cached entry against eviction. Returns false when
-    /// the key is not cached (nothing to pin).
-    pub fn pin(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                e.pinned += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Releases one pin; at zero the entry rejoins the LRU lifecycle.
-    /// Returns false when the key is not cached.
-    pub fn unpin(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                e.pinned = e.pinned.saturating_sub(1);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Current pin count of a cached entry.
-    pub fn pin_count(&self, key: &str) -> Option<u32> {
-        self.inner.lock().map.get(key).map(|e| e.pinned)
     }
 
     /// Dataset loads actually performed (cache misses that did the work;
@@ -398,49 +321,6 @@ mod tests {
             .get(&DatasetRef::path("/no/such/file.csv"), &m)
             .unwrap_err();
         assert!(matches!(err, ServeError::Dataset { .. }), "{err}");
-    }
-
-    #[test]
-    fn pinned_entries_survive_byte_pressure() {
-        // Budget fits exactly two 120-byte matrices.
-        let reg = DatasetRegistry::new(240);
-        let m = ServiceMetrics::default();
-        let live = DatasetRef::inline("live", matrix(10, 0.0));
-        let a = DatasetRef::inline("a", matrix(10, 1.0));
-        let b = DatasetRef::inline("b", matrix(10, 2.0));
-        reg.get(&live, &m).unwrap();
-        assert!(reg.pin(&live.key()), "pin of a cached entry");
-        assert_eq!(reg.pin_count(&live.key()), Some(1));
-        // Pressure: both inserts want the LRU slot `live` occupies.
-        reg.get(&a, &m).unwrap();
-        reg.get(&b, &m).unwrap();
-        assert!(
-            reg.fingerprint_of(&live).is_some(),
-            "pinned live dataset was evicted under pressure"
-        );
-        assert!(
-            reg.fingerprint_of(&a).is_none(),
-            "pressure must fall on the unpinned entry"
-        );
-        // Unpin: the live entry rejoins the LRU order and can be evicted.
-        assert!(reg.unpin(&live.key()));
-        assert_eq!(reg.pin_count(&live.key()), Some(0));
-        reg.get(&a, &m).unwrap();
-        assert!(reg.fingerprint_of(&live).is_none(), "unpinned yet immortal");
-    }
-
-    #[test]
-    fn put_pinned_refreshes_the_live_snapshot_in_place() {
-        let reg = DatasetRegistry::new(1 << 20);
-        let r = DatasetRef::inline("live", matrix(10, 0.0));
-        let fp1 = reg.put_pinned(&r.key(), Arc::new(matrix(10, 0.0)));
-        let fp2 = reg.put_pinned(&r.key(), Arc::new(matrix(12, 3.0)));
-        assert_ne!(fp1, fp2, "refresh must re-fingerprint");
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.pin_count(&r.key()), Some(1), "refresh keeps the pin");
-        assert_eq!(reg.cached_bytes(), 12 * 3 * 4);
-        assert!(reg.unpin(&r.key()));
-        assert!(!reg.pin("inline:ghost"));
     }
 
     #[test]

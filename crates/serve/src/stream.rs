@@ -5,11 +5,10 @@
 //! (`stream.append` / `stream.retire` / `stream.window`) are O(batch) and
 //! never run the algorithm; `stream.query` re-clusters only when the
 //! dataset is dirty, under a cooperative [`CancelToken`] armed by an
-//! optional deadline. After every query that re-clusters, a copy of the
-//! live rows is (re-)registered **pinned** in the dataset registry (the
-//! epoch itself borrows the rows and copies nothing), so byte-pressure
-//! eviction from concurrent batch jobs can never drop a dataset that has
-//! an open streaming session; `stream.close` unpins it.
+//! optional deadline. The session owns its live rows and each epoch
+//! borrows them, so a live dataset never enters the server's dataset
+//! registry: no batch job can name it (registry keys are `path:` or
+//! `inline:`), and it spends none of the registry's byte budget.
 //!
 //! A re-clustering `stream.result` carries the epoch's
 //! [`ReclusterReport`] counts: `segmental` is `n·k` per AssignPoints call
@@ -18,7 +17,6 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
 use gpu_sim::DeviceConfig;
@@ -27,8 +25,6 @@ use proclus::{CancelToken, Params, OUTLIER};
 use proclus_stream::{ReclusterReport, StreamBackendSpec, StreamingClusterer};
 use proclus_telemetry::json::{self, fmt_f64, Value};
 use proclus_telemetry::{Recorder, Telemetry};
-
-use crate::server::Server;
 
 /// One connection's live datasets, by client-chosen name.
 #[derive(Default)]
@@ -44,12 +40,6 @@ fn name_of(v: &Value) -> Result<&str, String> {
     v.get("name")
         .and_then(Value::as_str)
         .ok_or_else(|| "stream: missing string 'name'".to_string())
-}
-
-/// Registry key of a live dataset's snapshot ("stream:" namespaces it
-/// away from batch `DatasetRef` keys).
-fn registry_key(name: &str) -> String {
-    format!("stream:{name}")
 }
 
 fn spec_for(v: &Value) -> Result<StreamBackendSpec, String> {
@@ -91,16 +81,13 @@ impl StreamSessions {
         self.map.is_empty()
     }
 
-    /// Unpins every live dataset (connection teardown).
-    pub fn close_all(&mut self, server: &Server) {
-        for name in self.map.keys() {
-            server.registry().unpin(&registry_key(name));
-        }
+    /// Drops every live dataset (connection teardown).
+    pub fn close_all(&mut self) {
         self.map.clear();
     }
 
     /// `stream.open`: creates a named live dataset.
-    pub(crate) fn open(&mut self, server: &Server, v: &Value) -> Result<String, String> {
+    pub(crate) fn open(&mut self, v: &Value) -> Result<String, String> {
         let name = name_of(v)?;
         if self.map.contains_key(name) {
             return Err(format!("stream.open: `{name}` is already open"));
@@ -126,7 +113,6 @@ impl StreamSessions {
             c.set_window(Some(cap)).map_err(|e| e.to_string())?;
         }
         self.map.insert(name.to_string(), c);
-        let _ = server; // registration happens at first query (empty sets have no snapshot)
         Ok(format!(
             "{{\"op\":\"stream.opened\",\"name\":\"{}\",\"backend\":\"{backend}\"}}",
             json::escape(name)
@@ -212,9 +198,9 @@ impl StreamSessions {
 
     /// `stream.query`: re-clusters if the dataset is dirty (under an
     /// optional `deadline_ms` cancellation watchdog and optional
-    /// telemetry), refreshes the pinned registry snapshot, and reports the
-    /// state. `"labels":true` adds `[pid,label]` pairs.
-    pub(crate) fn query(&mut self, server: &Server, v: &Value) -> Result<String, String> {
+    /// telemetry) and reports the state. `"labels":true` adds `[pid,label]`
+    /// pairs.
+    pub(crate) fn query(&mut self, v: &Value) -> Result<String, String> {
         let name = name_of(v)?;
         let c = self
             .map
@@ -258,10 +244,6 @@ impl StreamSessions {
             let r = out.map_err(|e| e.to_string())?;
             tel_json = tel.map(|t| t.finish().to_json());
             report = Some(r);
-            let snap = c.dataset().snapshot().map_err(|e| e.to_string())?;
-            server
-                .registry()
-                .put_pinned(&registry_key(name), Arc::new(snap));
         }
 
         let state = c
@@ -316,13 +298,12 @@ impl StreamSessions {
         Ok(line)
     }
 
-    /// `stream.close`: unpins the registry snapshot and drops the session.
-    pub(crate) fn close(&mut self, server: &Server, v: &Value) -> Result<String, String> {
+    /// `stream.close`: drops the session.
+    pub(crate) fn close(&mut self, v: &Value) -> Result<String, String> {
         let name = name_of(v)?;
         if self.map.remove(name).is_none() {
             return Err(format!("stream.close: `{name}` is not open"));
         }
-        server.registry().unpin(&registry_key(name));
         Ok(format!(
             "{{\"op\":\"stream.closed\",\"name\":\"{}\"}}",
             json::escape(name)
